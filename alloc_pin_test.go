@@ -11,8 +11,9 @@ import (
 // TestAnalyzeJobAllocs pins the steady-state allocation count of the
 // production per-job path (query → align → preprocess → extract → score).
 // The arena-backed assembly of DESIGN.md §15 keeps the query/align half
-// off the heap entirely; what remains is feature extraction bookkeeping
-// and the per-call score/prediction slices. A regression here lands
+// off the heap entirely, and selection-pruned extraction (DESIGN.md §12)
+// writes into a pooled feature row; what remains is the result slice, the
+// table map, the spans and the per-node score/prediction slices. A regression here lands
 // directly on /api/score tail latency as GC pressure, so the bound is
 // deliberately tight — raise it only with a hotalloc-clean justification.
 func TestAnalyzeJobAllocs(t *testing.T) {
@@ -57,7 +58,7 @@ func TestAnalyzeJobAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("AnalyzeJob: %.1f allocs/run", allocs)
-	const maxAllocs = 256 // measured 201 on the 4-node quick campaign
+	const maxAllocs = 26 // measured 22 on the 4-node quick campaign
 	if allocs > maxAllocs {
 		t.Fatalf("AnalyzeJob allocates %.1f times per run, pin is %d: the arena-backed assembly path regressed", allocs, maxAllocs)
 	}

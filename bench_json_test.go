@@ -195,9 +195,10 @@ func bestNsPerOp(n int, fn func(*testing.B)) float64 {
 }
 
 // TestEmitFeaturesBenchJSON (BENCH_FEATURES_JSON) snapshots the feature
-// extraction stage: the steady-state Into path the dataset builder and
-// AnalyzeJob run per sample, the allocating convenience wrapper, and the
-// offline dataset build that fans extraction across samples.
+// extraction stage: the steady-state full-catalog Into path the dataset
+// builder runs per sample, the allocating convenience wrapper, the
+// offline dataset build that fans extraction across samples, and the
+// per-job analysis whose extraction the deployed selection prunes.
 func TestEmitFeaturesBenchJSON(t *testing.T) {
 	path := os.Getenv("BENCH_FEATURES_JSON")
 	if path == "" {
@@ -207,6 +208,7 @@ func TestEmitFeaturesBenchJSON(t *testing.T) {
 		{"FeatureExtraction", BenchmarkFeatureExtraction},
 		{"FeatureExtractionNamed", BenchmarkFeatureExtractionNamed},
 		{"DatasetBuild", BenchmarkDatasetBuild},
+		{"EndToEndDetection", BenchmarkEndToEndDetection},
 	})
 }
 

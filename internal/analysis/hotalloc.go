@@ -42,9 +42,10 @@ const defaultMatPath = "prodigy/internal/mat"
 // setup (NewSharder, optimizer moments) is deliberately absent: it
 // allocates once per fit, not per step.
 // The feature-extraction roots cover DESIGN.md §12: ExtractSeriesInto /
-// ExtractTableInto run per metric per sample and fan out through the
-// SeriesFn registry to every extractor, all of which must draw scratch
-// from the features.Workspace.
+// ExtractTableInto run per metric per sample, and ExtractPlanInto per
+// dashboard request (the selection-pruned job analysis); all three fan
+// out through the SeriesFn registry to every extractor, all of which must
+// draw scratch from the features.Workspace.
 func DefaultHotPathRoots() []RootSpec {
 	return append(DefaultStatelessRoots(),
 		RootSpec{"Layer", "ApplyInto"},
@@ -53,6 +54,7 @@ func DefaultHotPathRoots() []RootSpec {
 		RootSpec{"Sharder", "Reduce"},
 		RootSpec{"Catalog", "ExtractSeriesInto"},
 		RootSpec{"Catalog", "ExtractTableInto"},
+		RootSpec{"Catalog", "ExtractPlanInto"},
 		// Job-assembly Into path of DESIGN.md §15: query + align draw every
 		// slice and table shell from the caller's arena, so the per-request
 		// AnalyzeJob path stays off the heap until feature extraction.

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"prodigy/internal/baselines/usad"
@@ -95,8 +96,10 @@ func DefaultConfig() Config {
 // see the new one, and nobody stalls. Fit, TuneThreshold and SetExplainPool
 // are deployment-time operations — run them from one goroutine.
 type Prodigy struct {
-	Cfg      Config
-	detector atomic.Pointer[pipeline.AnomalyDetector]
+	Cfg Config
+	// deployed is the live model snapshot: the detector together with the
+	// extraction plan compiled from its selection, published as one.
+	deployed atomic.Pointer[deployment]
 	// healthyTrain retains the healthy training pool (full feature space)
 	// for CoMTE distractors.
 	healthyTrain atomic.Pointer[mat.Matrix]
@@ -106,6 +109,32 @@ type Prodigy struct {
 	// baseline is the last-known-good score-distribution snapshot the
 	// score-shift alert compares live scoring against (see adoptBaseline).
 	baseline atomic.Pointer[obs.SketchSnapshot]
+}
+
+// deployment is one deployed model snapshot. AnalyzeJob extracts only the
+// (metric, extractor) cells the detector's selection reads, so the plan
+// must always describe the detector it is published with: a Swap to an
+// artifact with another selection replaces both in one atomic store.
+type deployment struct {
+	det *pipeline.AnomalyDetector
+	// cat is the catalog the plan was compiled against.
+	cat *features.Catalog
+	// plan is nil when the artifact's feature space does not fit cat; job
+	// analysis then fails its width check before it would need one.
+	plan *features.Plan
+}
+
+// newDeployment compiles the extraction plan of det's selection over cat.
+func newDeployment(det *pipeline.AnomalyDetector, cat *features.Catalog) *deployment {
+	d := &deployment{det: det, cat: cat}
+	a := det.Artifact()
+	per, width := cat.NumFeaturesPerSeries(), len(a.FullFeatureNames)
+	if a.Selection != nil && per > 0 && width%per == 0 {
+		if plan, err := cat.Plan(a.Selection.Indices, width/per); err == nil {
+			d.plan = plan
+		}
+	}
+	return d
 }
 
 // Baseline-adoption gates: a deployment's outgoing score distribution
@@ -151,23 +180,25 @@ func (p *Prodigy) adoptBaseline(outgoing *pipeline.AnomalyDetector) {
 // false until both a baseline and a deployed detector exist — alert rules
 // treat that as "not evaluable", never as "no shift".
 func (p *Prodigy) ScoreShift() (stat, pValue float64, n uint64, ok bool) {
-	det := p.detector.Load()
+	dep := p.deployed.Load()
 	base := p.baseline.Load()
-	if det == nil || base == nil {
+	if dep == nil || base == nil {
 		return 0, 1, 0, false
 	}
-	live := det.ScoreSketch().Snapshot()
+	live := dep.det.ScoreSketch().Snapshot()
 	stat, pValue = drift.KSFromCounts(live.CountsSlice(), base.CountsSlice())
 	return stat, pValue, live.Total, true
 }
 
-// deploy installs a detector and publishes the snapshot's metadata. The
-// outgoing detector's score distribution is considered as the new
-// score-shift baseline first (last-known-good semantics, see
-// adoptBaseline).
+// deploy installs a detector with its extraction plan and publishes the
+// snapshot's metadata. The outgoing detector's score distribution is
+// considered as the new score-shift baseline first (last-known-good
+// semantics, see adoptBaseline).
 func (p *Prodigy) deploy(det *pipeline.AnomalyDetector) {
-	p.adoptBaseline(p.detector.Load())
-	p.detector.Store(det)
+	if cur := p.deployed.Load(); cur != nil {
+		p.adoptBaseline(cur.det)
+	}
+	p.deployed.Store(newDeployment(det, p.Cfg.catalog()))
 	modelGeneration.Set(float64(p.generation.Add(1)))
 	modelThreshold.Set(det.Threshold())
 	modelFeatures.Set(float64(len(det.Artifact().FullFeatureNames)))
@@ -284,8 +315,8 @@ func (p *Prodigy) Swap(artifact *pipeline.Artifact) error {
 	if err != nil {
 		return err
 	}
-	if cur := p.detector.Load(); cur != nil {
-		old := cur.Artifact()
+	if cur := p.deployed.Load(); cur != nil {
+		old := cur.det.Artifact()
 		if artifact.CatalogTier != old.CatalogTier || artifact.TrimSeconds != old.TrimSeconds {
 			return fmt.Errorf("core: hot swap changes extraction settings (tier %d→%d, trim %d→%d); redeploy instead",
 				old.CatalogTier, artifact.CatalogTier, old.TrimSeconds, artifact.TrimSeconds)
@@ -297,7 +328,7 @@ func (p *Prodigy) Swap(artifact *pipeline.Artifact) error {
 }
 
 // Trained reports whether Fit has completed.
-func (p *Prodigy) Trained() bool { return p.detector.Load() != nil }
+func (p *Prodigy) Trained() bool { return p.deployed.Load() != nil }
 
 // Detect returns binary predictions (1 = anomalous) and scores for samples
 // in the full extracted feature space.
@@ -339,8 +370,8 @@ func (p *Prodigy) TuneThreshold(ds *pipeline.Dataset) float64 {
 // ModelKind reports the deployed artifact's model kind ("vae",
 // "ensemble", ...), or "" before Fit/Load.
 func (p *Prodigy) ModelKind() string {
-	if d := p.detector.Load(); d != nil {
-		return d.Artifact().ModelKind
+	if d := p.deployed.Load(); d != nil {
+		return d.det.Artifact().ModelKind
 	}
 	return ""
 }
@@ -363,13 +394,21 @@ type NodePrediction struct {
 
 // AnalyzeJob runs the full prediction pipeline of Figure 4 for one job ID:
 // query the store, preprocess, extract features, detect per node.
+// Extraction runs only the (metric, extractor) cells the deployed
+// selection reads (see deployment); the verdicts are bit-identical to
+// scoring the fully extracted vector.
 func (p *Prodigy) AnalyzeJob(store *dsos.Store, jobID int64) ([]NodePrediction, error) {
+	row := rowPool.Get().(*mat.Matrix)
+	defer rowPool.Put(row)
+	return p.analyzeJob(row, store, jobID)
+}
+
+func (p *Prodigy) analyzeJob(row *mat.Matrix, store *dsos.Store, jobID int64) ([]NodePrediction, error) {
 	ctx, span := obs.StartSpan(context.Background(), "core.analyze_job")
 	defer span.End()
 	// One atomic load per request: every node of the job is scored against
-	// the same model snapshot even if a hot swap lands mid-analysis.
-	det := p.det()
-	names := det.Artifact().FullFeatureNames
+	// the same detector and plan even if a hot swap lands mid-analysis.
+	dep := p.snapshot()
 	gen := pipeline.NewDataGenerator(store)
 	if p.Cfg.TrimSeconds > 0 {
 		gen.TrimSeconds = p.Cfg.TrimSeconds
@@ -388,13 +427,6 @@ func (p *Prodigy) AnalyzeJob(store *dsos.Store, jobID int64) ([]NodePrediction, 
 	}
 	_, sspan := obs.StartSpan(ctx, "extract_score")
 	defer sspan.End()
-	cat := p.Cfg.catalog()
-	per := cat.NumFeaturesPerSeries()
-	// One feature row reused across every node of the job: extraction
-	// writes into it in place, and the 1×w matrix header wrapping it is
-	// built once.
-	vec := make([]float64, len(names))
-	row := mat.NewFromData(1, len(vec), vec)
 	ws := features.GetWorkspace()
 	defer features.PutWorkspace(ws)
 	out := make([]NodePrediction, 0, len(tables))
@@ -403,22 +435,49 @@ func (p *Prodigy) AnalyzeJob(store *dsos.Store, jobID int64) ([]NodePrediction, 
 		if !ok {
 			continue
 		}
-		if n := tb.NumMetrics() * per; n != len(names) {
-			return nil, fmt.Errorf("core: job %d component %d yields %d features, model expects %d",
-				jobID, comp, n, len(names))
+		pred, err := dep.analyzeNode(row, ws, comp, tb)
+		if err != nil {
+			return nil, fmt.Errorf("core: job %d %w", jobID, err)
 		}
-		for mi, m := range tb.Order {
-			cat.ExtractSeriesInto(vec[mi*per:(mi+1)*per], tb.Columns[m], ws)
-		}
-		preds, scores := det.Predict(row)
-		out = append(out, NodePrediction{
-			Component: comp,
-			Anomalous: preds[0] == 1,
-			Score:     scores[0],
-			Threshold: det.Threshold(),
-		})
+		out = append(out, pred)
 	}
 	return out, nil
+}
+
+// rowPool recycles the 1×w feature rows job analysis extracts every node
+// of a job into. A pooled row arrives dirty.
+var rowPool = sync.Pool{New: func() any { return new(mat.Matrix) }}
+
+// resizeRow makes m a 1×w row, reusing its storage; the contents are
+// unspecified.
+func resizeRow(m *mat.Matrix, w int) {
+	if cap(m.Data) < w {
+		m.Data = make([]float64, w)
+	}
+	*m = mat.Matrix{Rows: 1, Cols: w, Data: m.Data[:w]}
+}
+
+// analyzeNode extracts the planned cells of one node's preprocessed table
+// into row and scores it. Cells outside the plan keep whatever the row
+// held: the detector gathers only the selected columns, and every one of
+// those lies inside the plan.
+func (d *deployment) analyzeNode(row *mat.Matrix, ws *features.Workspace, comp int, tb *timeseries.Table) (NodePrediction, error) {
+	width := len(d.det.Artifact().FullFeatureNames)
+	if n := tb.NumMetrics() * d.cat.NumFeaturesPerSeries(); n != width {
+		return NodePrediction{}, fmt.Errorf("component %d yields %d features, model expects %d", comp, n, width)
+	}
+	if d.plan == nil {
+		return NodePrediction{}, fmt.Errorf("component %d: the model's feature selection does not fit its %d-wide feature space", comp, width)
+	}
+	resizeRow(row, width)
+	d.cat.ExtractPlanInto(row.Data, tb, d.plan, ws)
+	preds, scores := d.det.Predict(row)
+	return NodePrediction{
+		Component: comp,
+		Anomalous: preds[0] == 1,
+		Score:     scores[0],
+		Threshold: d.det.Threshold(),
+	}, nil
 }
 
 // Explain produces a CoMTE counterfactual explanation for sample idx of ds
@@ -566,8 +625,8 @@ func (p *Prodigy) DetectVector(vec []float64) (anomalous bool, score float64) {
 // was trained against. The names travel with the artifact, so a reader
 // pairing FeatureNames with a scoring call sees a consistent schema.
 func (p *Prodigy) FeatureNames() []string {
-	if d := p.detector.Load(); d != nil {
-		return d.Artifact().FullFeatureNames
+	if d := p.deployed.Load(); d != nil {
+		return d.det.Artifact().FullFeatureNames
 	}
 	return nil
 }
@@ -577,8 +636,12 @@ func matrixFromVec(vec []float64) *mat.Matrix { return mat.NewFromData(1, len(ve
 
 // det returns the deployed detector, panicking on an untrained pipeline —
 // the same contract mustBeTrained enforced, now one atomic load.
-func (p *Prodigy) det() *pipeline.AnomalyDetector {
-	d := p.detector.Load()
+func (p *Prodigy) det() *pipeline.AnomalyDetector { return p.snapshot().det }
+
+// snapshot returns the deployed model snapshot, panicking on an untrained
+// pipeline.
+func (p *Prodigy) snapshot() *deployment {
+	d := p.deployed.Load()
 	if d == nil {
 		panic("core: Prodigy used before Fit/Load")
 	}

@@ -157,17 +157,32 @@ func (s *Store) QuerySampler(job int64, component int, sampler ldms.SamplerName)
 // columns and table shell carved out of the arena (nil falls back to plain
 // allocation). The returned table is valid until the arena is reset.
 func (s *Store) QuerySamplerInto(a *timeseries.Arena, job int64, component int, sampler ldms.SamplerName) (*timeseries.Table, error) {
-	key := seriesKey{job: job, component: component, sampler: sampler}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.data[key]
+	b, ok := s.bufferLocked(job, component, sampler)
 	if !ok {
 		return nil, fmt.Errorf("dsos: no %s data for job %d component %d", sampler, job, component)
+	}
+	return b.copyInto(a), nil
+}
+
+// bufferLocked returns the sorted, name-indexed buffer of one (job,
+// component, sampler); caller holds mu.
+func (s *Store) bufferLocked(job int64, component int, sampler ldms.SamplerName) (*buffer, bool) {
+	b, ok := s.data[seriesKey{job: job, component: component, sampler: sampler}]
+	if !ok {
+		return nil, false
 	}
 	if !b.sorted {
 		b.sortLocked()
 	}
 	b.ensureNamesLocked(sampler)
+	return b, true
+}
+
+// copyInto copies the buffer into an arena table, padding any column
+// shorter than the timestamp axis with missing markers; caller holds mu.
+func (b *buffer) copyInto(a *timeseries.Arena) *timeseries.Table {
 	ts := a.Ints(len(b.timestamps))
 	copy(ts, b.timestamps)
 	out := a.NewTable(ts)
@@ -180,7 +195,19 @@ func (s *Store) QuerySamplerInto(a *timeseries.Arena, job int64, component int, 
 		}
 		out.AddColumn(b.qualified[i], col)
 	}
-	return out, nil
+	return out
+}
+
+// viewInto wraps the buffer's own storage in an arena table shell without
+// copying, for an alignment that reads it before mu is released. Ingest
+// pads every column to the timestamp axis, which AddColumn checks. Caller
+// holds mu.
+func (b *buffer) viewInto(a *timeseries.Arena) *timeseries.Table {
+	out := a.NewTable(b.timestamps)
+	for i, m := range b.names {
+		out.AddColumn(b.qualified[i], b.columns[m])
+	}
+	return out
 }
 
 // sortLocked re-orders a buffer by timestamp; caller holds mu.
@@ -216,33 +243,53 @@ func (s *Store) QueryJob(job int64) (map[int]*timeseries.Table, error) {
 	return s.QueryJobInto(nil, job)
 }
 
-// QueryJobInto is QueryJob backed by an arena: per-sampler tables, the
-// aligned output and every column in between come from a, so a pooled
-// caller assembles a job's tables with only the per-call result map
-// allocated. Alignment uses the sorted-merge AlignSortedInto — buffers are
-// sorted on demand by QuerySamplerInto, so the hash-map intersection of
-// timeseries.Align is unnecessary here.
+// QueryJobInto is QueryJob backed by an arena: the aligned output and
+// every column in it come from a, so a pooled caller assembles a job's
+// tables with only the per-call result map allocated. Alignment uses the
+// sorted-merge AlignSortedInto and reads the store's buffers in place
+// under the lock (buffers are sorted on demand), so each value is copied
+// once, straight into its aligned column, and the arena holds only the
+// result.
 func (s *Store) QueryJobInto(a *timeseries.Arena, job int64) (map[int]*timeseries.Table, error) {
 	comps := s.Components(job)
 	if len(comps) == 0 {
 		return nil, fmt.Errorf("dsos: unknown job %d", job)
 	}
 	out := make(map[int]*timeseries.Table, len(comps))
+	var bufArr [4]*buffer // one slot per sampler of ldms.AllSamplers, on the stack
+	bufs := bufArr[:0]
 	tables := make([]*timeseries.Table, 0, len(ldms.AllSamplers))
 	for _, c := range comps {
-		tables = tables[:0]
+		bufs = bufs[:0]
+		s.mu.Lock()
 		for _, sampler := range ldms.AllSamplers {
-			t, err := s.QuerySamplerInto(a, job, c, sampler)
-			if err == nil {
-				tables = append(tables, t)
+			if b, ok := s.bufferLocked(job, c, sampler); ok {
+				bufs = append(bufs, b)
 			}
 		}
-		if len(tables) == 0 {
-			continue
+		tb := alignInto(a, bufs, tables[:0])
+		s.mu.Unlock()
+		if tb != nil {
+			out[c] = tb
 		}
-		out[c] = timeseries.AlignSortedInto(a, tables...)
 	}
 	return out, nil
+}
+
+// alignInto aligns one component's buffers into an arena table, reading
+// them in place; caller holds mu. A lone buffer is its own alignment and
+// is copied, so the result never aliases the store. tables is scratch.
+func alignInto(a *timeseries.Arena, bufs []*buffer, tables []*timeseries.Table) *timeseries.Table {
+	switch len(bufs) {
+	case 0:
+		return nil
+	case 1:
+		return bufs[0].copyInto(a)
+	}
+	for _, b := range bufs {
+		tables = append(tables, b.viewInto(a))
+	}
+	return timeseries.AlignSortedInto(a, tables...)
 }
 
 // DeleteJob removes all data of a job, reclaiming memory after analysis.

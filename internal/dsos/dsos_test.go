@@ -190,3 +190,128 @@ func TestEndToEndCollection(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryJobIntoMatchesPerSamplerAlign checks the in-place alignment of
+// QueryJobInto against the copying path — copy every sampler with
+// QuerySampler, then align the copies — over out-of-order, gappy,
+// duplicated and late-column ingestion, with a dirty reused arena. It
+// also checks the result never aliases the store: scribbling over it
+// leaves the next query unchanged.
+func TestQueryJobIntoMatchesPerSamplerAlign(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := NewStore()
+	const job = 3
+	samplers := []ldms.SamplerName{ldms.Meminfo, ldms.Vmstat, ldms.Procstat}
+	for comp := 0; comp < 4; comp++ {
+		// Component 3 reports one sampler only: its result must be a copy.
+		use := samplers
+		if comp == 3 {
+			use = samplers[:1]
+		}
+		for _, sampler := range use {
+			for _, ts := range rng.Perm(40) {
+				if rng.Intn(8) == 0 {
+					continue // dropped reading
+				}
+				vals := map[string]float64{"a": rng.Float64(), "b": float64(ts)}
+				if ts > 20 {
+					vals["late"] = rng.Float64() // column first seen mid-stream
+				}
+				s.Ingest(row(job, comp, int64(ts), sampler, vals))
+				if rng.Intn(10) == 0 {
+					s.Ingest(row(job, comp, int64(ts), sampler, vals)) // duplicate timestamp
+				}
+			}
+		}
+	}
+	// The references are taken once, before any query result is
+	// scribbled over, so a result aliasing the store shows up in the
+	// next round.
+	refs := make([]*timeseries.Table, 4)
+	for comp := range refs {
+		var tables []*timeseries.Table
+		for _, sampler := range ldms.AllSamplers {
+			if tb, err := s.QuerySampler(job, comp, sampler); err == nil {
+				tables = append(tables, tb)
+			}
+		}
+		refs[comp] = timeseries.AlignSortedInto(nil, tables...)
+	}
+	arena := &timeseries.Arena{}
+	for round := 0; round < 3; round++ {
+		arena.Reset()
+		got, err := s.QueryJobInto(arena, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for comp := 0; comp < 4; comp++ {
+			want, tb := refs[comp], got[comp]
+			if tb == nil || len(tb.Timestamps) != len(want.Timestamps) || len(tb.Order) != len(want.Order) {
+				t.Fatalf("round %d component %d: shape differs from the reference", round, comp)
+			}
+			for i, ts := range want.Timestamps {
+				if tb.Timestamps[i] != ts {
+					t.Fatalf("round %d component %d: timestamp %d = %d, want %d", round, comp, i, tb.Timestamps[i], ts)
+				}
+			}
+			for _, m := range want.Order {
+				for i, v := range want.Columns[m] {
+					if g := tb.Columns[m][i]; g != v && !(timeseries.IsMissing(g) && timeseries.IsMissing(v)) {
+						t.Fatalf("round %d component %d: %s[%d] = %v, want %v", round, comp, m, i, g, v)
+					}
+				}
+			}
+			// Scribble over the result: the store must not see it.
+			for _, m := range tb.Order {
+				for i := range tb.Columns[m] {
+					tb.Columns[m][i] = -1
+				}
+			}
+			for i := range tb.Timestamps {
+				tb.Timestamps[i] = -1
+			}
+		}
+	}
+}
+
+// TestQueryJobIntoDuringIngest races arena queries against ingestion into
+// the same job: out-of-order rows and late columns keep forcing re-sorts
+// and re-indexing of the buffers the queries align in place. Under -race
+// this pins the locking of the in-place alignment.
+func TestQueryJobIntoDuringIngest(t *testing.T) {
+	s := NewStore()
+	for ts := int64(0); ts < 50; ts++ {
+		for _, sampler := range []ldms.SamplerName{ldms.Meminfo, ldms.Vmstat} {
+			s.Ingest(row(1, 0, ts, sampler, map[string]float64{"a": float64(ts)}))
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ts := int64(200); ts > 50; ts-- {
+			s.Ingest(row(1, 0, ts, ldms.Vmstat, map[string]float64{"a": 1, "late": float64(ts)}))
+			s.Ingest(row(1, 0, ts, ldms.Meminfo, map[string]float64{"a": 2}))
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			arena := &timeseries.Arena{}
+			for i := 0; i < 50; i++ {
+				arena.Reset()
+				tables, err := s.QueryJobInto(arena, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if tb := tables[0]; tb == nil || tb.Len() < 50 {
+					t.Error("component 0 lost rows")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

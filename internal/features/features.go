@@ -73,6 +73,7 @@ type Catalog struct {
 	MaxTier Tier
 	names   []string // concatenated Extractor.Names, fixed at New
 	offsets []int    // start of each extractor's block in the series vector
+	all     []int    // every extractor index, the list ExtractSeriesInto runs
 }
 
 // registry holds every known extractor in canonical order.
@@ -88,6 +89,7 @@ func New(maxTier Tier) *Catalog {
 	c := &Catalog{MaxTier: maxTier}
 	for _, e := range registry {
 		if e.Tier <= maxTier {
+			c.all = append(c.all, len(c.Extractors))
 			c.Extractors = append(c.Extractors, e)
 			c.offsets = append(c.offsets, len(c.names))
 			c.names = append(c.names, e.Names...)
@@ -111,11 +113,20 @@ func Minimal() *Catalog { return New(TierMinimal) }
 // length NumFeaturesPerSeries. Non-finite values are replaced by 0. This is
 // the allocation-free core: all scratch space comes from ws.
 func (c *Catalog) ExtractSeriesInto(dst, x []float64, ws *Workspace) {
+	c.ExtractSubsetInto(dst, x, c.all, ws)
+}
+
+// ExtractSubsetInto runs only the listed extractors (indices into
+// Extractors) over one series, writing each one's values into dst at its
+// catalog offset; the blocks of unlisted extractors are left as they were.
+// Every extractor computes its block from x and ws alone, so a listed
+// block holds exactly what ExtractSeriesInto would write there.
+func (c *Catalog) ExtractSubsetInto(dst, x []float64, extractors []int, ws *Workspace) {
 	if len(dst) != len(c.names) {
-		panic(fmt.Sprintf("features: ExtractSeriesInto dst length %d, want %d", len(dst), len(c.names)))
+		panic(fmt.Sprintf("features: ExtractSubsetInto dst length %d, want %d", len(dst), len(c.names)))
 	}
 	ws.begin()
-	for i := range c.Extractors {
+	for _, i := range extractors {
 		e := &c.Extractors[i]
 		sub := dst[c.offsets[i] : c.offsets[i]+len(e.Names)]
 		clear(sub)

@@ -80,6 +80,18 @@ func TestAccumulatedNames(t *testing.T) {
 	}
 }
 
+// The counter list is built once: every call (one per analysed job on
+// the dashboard path) shares the same slice and allocates nothing.
+func TestAccumulatedNamesShared(t *testing.T) {
+	a, b := AccumulatedNames(), AccumulatedNames()
+	if len(a) == 0 || &a[0] != &b[0] {
+		t.Fatal("AccumulatedNames rebuilt its list")
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = AccumulatedNames() }); n != 0 {
+		t.Fatalf("AccumulatedNames allocates %v/call, want 0", n)
+	}
+}
+
 // fakeSource returns constant values and records how it was sampled.
 type fakeSource struct {
 	component int

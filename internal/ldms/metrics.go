@@ -11,7 +11,10 @@
 // the workload and injected anomalies, as on the real systems.
 package ldms
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // SamplerName identifies one LDMS metric set.
 type SamplerName string
@@ -157,8 +160,11 @@ func SchemaBySampler(s SamplerName) []MetricDef {
 // AccumulatedNames returns the qualified names of all accumulated counters
 // (CPU and GPU samplers), the list the preprocessing stage
 // first-differences. Differencing ignores absent columns, so including the
-// GPU counters is harmless for CPU-only nodes.
-func AccumulatedNames() []string {
+// GPU counters is harmless for CPU-only nodes. The list is built once and
+// shared by every caller, so callers must not modify it.
+func AccumulatedNames() []string { return accumulatedNames() }
+
+var accumulatedNames = sync.OnceValue(func() []string {
 	var out []string
 	for _, d := range append(Schema(), GPUSchema()...) {
 		if d.Accumulated {
@@ -166,4 +172,4 @@ func AccumulatedNames() []string {
 		}
 	}
 	return out
-}
+})

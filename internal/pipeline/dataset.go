@@ -108,13 +108,11 @@ type DataGenerator struct {
 	Store *dsos.Store
 	// TrimSeconds removes this many seconds from each end (paper: 60).
 	TrimSeconds int
-	// accumulated caches the counter list.
-	accumulated []string
 }
 
 // NewDataGenerator returns a generator with the paper's 60-second trim.
 func NewDataGenerator(store *dsos.Store) *DataGenerator {
-	return &DataGenerator{Store: store, TrimSeconds: 60, accumulated: ldms.AccumulatedNames()}
+	return &DataGenerator{Store: store, TrimSeconds: 60}
 }
 
 // JobTables returns the preprocessed per-component telemetry tables of a
@@ -133,10 +131,7 @@ func (g *DataGenerator) JobTablesInto(a *timeseries.Arena, jobID int64) (map[int
 	if err != nil {
 		return nil, err
 	}
-	acc := g.accumulated
-	if acc == nil {
-		acc = ldms.AccumulatedNames()
-	}
+	acc := ldms.AccumulatedNames()
 	for _, tb := range raw {
 		tb.InterpolateAll()
 		tb.DiffColumns(acc)
@@ -197,6 +192,11 @@ type DatasetBuilder struct {
 	namesCat   *features.Catalog
 	namesKey   string
 	namesCache []string
+	// arenas are the builder's own query/align arenas, one per collect
+	// worker, reused across its builds. Each one ends a build holding its
+	// share of the whole campaign's telemetry, so they stay with the
+	// builder rather than joining the request path's arena pool.
+	arenas []*timeseries.Arena
 }
 
 // NewDatasetBuilder wires a generator and pipeline over one store.
@@ -230,16 +230,20 @@ type task struct {
 // of the serial loop: workers fill per-spec slots that are concatenated
 // in spec order afterwards.
 //
-// Each worker carves its query/align storage out of one pooled arena
-// (DESIGN.md §15), so the per-column allocations that used to dominate
-// dataset builds disappear. The returned tables reference arena memory:
-// callers must hand the arenas back with timeseries.PutArena only after
+// Each worker carves its query/align storage out of one of the builder's
+// arenas (DESIGN.md §15), so the per-column allocations that used to
+// dominate dataset builds disappear. The returned tables reference arena
+// memory: callers must hand the arenas back with releaseArenas only after
 // they are done with every table — Build/BuildPartitioned release them
 // after feature extraction.
 func (b *DatasetBuilder) collectTasks() ([]task, []*timeseries.Arena, error) {
 	b.mu.Lock()
 	specs := make([]jobSpec, len(b.specs))
 	copy(specs, b.specs)
+	// Check the arenas out: a concurrent build on the same builder finds
+	// none and carves from fresh ones.
+	arenas := b.arenas
+	b.arenas = nil
 	b.mu.Unlock()
 
 	perSpec := make([][]task, len(specs))
@@ -251,11 +255,13 @@ func (b *DatasetBuilder) collectTasks() ([]task, []*timeseries.Arena, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	arenas := make([]*timeseries.Arena, workers)
+	for len(arenas) < workers {
+		arenas = append(arenas, new(timeseries.Arena))
+	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		arenas[w] = timeseries.GetArena()
+		arenas[w].Reset()
 		wg.Add(1)
 		go func(arena *timeseries.Arena) {
 			defer wg.Done()
@@ -292,24 +298,26 @@ func (b *DatasetBuilder) collectTasks() ([]task, []*timeseries.Arena, error) {
 	var tasks []task
 	for i, ts := range perSpec {
 		if errs[i] != nil {
-			releaseArenas(arenas)
+			b.releaseArenas(arenas)
 			return nil, nil, errs[i]
 		}
 		tasks = append(tasks, ts...)
 	}
 	if len(tasks) == 0 {
-		releaseArenas(arenas)
+		b.releaseArenas(arenas)
 		return nil, nil, fmt.Errorf("pipeline: no samples to build")
 	}
 	return tasks, arenas, nil
 }
 
-// releaseArenas recycles the build arenas once every table carved from
-// them is dead.
-func releaseArenas(arenas []*timeseries.Arena) {
-	for _, a := range arenas {
-		timeseries.PutArena(a)
+// releaseArenas hands the build arenas back to the builder once every
+// table carved from them is dead; the next build resets and reuses them.
+func (b *DatasetBuilder) releaseArenas(arenas []*timeseries.Arena) {
+	b.mu.Lock()
+	if b.arenas == nil {
+		b.arenas = arenas
 	}
+	b.mu.Unlock()
 }
 
 // featureNames returns the qualified feature names for a metric order,
@@ -349,7 +357,7 @@ func (b *DatasetBuilder) Build() (*Dataset, error) {
 	}
 	// The dataset matrix is fully materialized by extract; the
 	// arena-backed tables are dead afterwards.
-	defer releaseArenas(arenas)
+	defer b.releaseArenas(arenas)
 	return b.extract(tasks)
 }
 
@@ -362,7 +370,7 @@ func (b *DatasetBuilder) BuildPartitioned() (map[string]*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer releaseArenas(arenas)
+	defer b.releaseArenas(arenas)
 	byClass := map[string][]task{}
 	for _, t := range tasks {
 		c := NodeClass(t.table)

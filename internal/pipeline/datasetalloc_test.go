@@ -9,6 +9,7 @@ import (
 	"prodigy/internal/hpas"
 	"prodigy/internal/ldms"
 	"prodigy/internal/pipeline"
+	"prodigy/internal/timeseries"
 )
 
 // tinyBuilder simulates the tinyCampaign jobs and returns the builder
@@ -50,9 +51,9 @@ func tinyBuilder(t testing.TB, seed int64) (*pipeline.DatasetBuilder, *dsos.Stor
 }
 
 // TestDatasetBuildArenaDeterminism rebuilds the same campaign through
-// the arena-backed collect path: the second build reuses pooled arenas
-// whose slabs come back dirty, so bit-identical output proves the
-// query/align stage fully overwrites every carved slice.
+// the arena-backed collect path: the second build reuses the builder's
+// own arenas, whose slabs come back dirty, so bit-identical output proves
+// the query/align stage fully overwrites every carved slice.
 func TestDatasetBuildArenaDeterminism(t *testing.T) {
 	builder, _ := tinyBuilder(t, 5)
 	first, err := builder.Build()
@@ -60,10 +61,17 @@ func TestDatasetBuildArenaDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := append([]float64(nil), first.X.Data...)
+	arenas := append([]*timeseries.Arena(nil), builder.BuildArenas()...)
+	if len(arenas) == 0 {
+		t.Fatal("the builder kept no arenas after a build")
+	}
 	for round := 0; round < 2; round++ {
 		ds, err := builder.Build()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := builder.BuildArenas(); len(got) < len(arenas) || got[0] != arenas[0] {
+			t.Fatalf("round %d: the build did not reuse the builder's arenas", round)
 		}
 		if ds.X.Rows != first.X.Rows || ds.X.Cols != first.X.Cols {
 			t.Fatalf("round %d: shape %dx%d, want %dx%d", round, ds.X.Rows, ds.X.Cols, first.X.Rows, first.X.Cols)

@@ -21,8 +21,13 @@ import (
 // An Arena is not safe for concurrent use; pool instances with
 // GetArena/PutArena.
 type Arena struct {
-	floats []float64
-	fOff   int
+	// chunks are the float slabs, carved in order and all kept across
+	// Reset: growing adds one fixed-size chunk rather than doubling into a
+	// fresh slab, so an arena allocates only what its largest cycle uses
+	// and never strands a half-used predecessor.
+	chunks [][]float64
+	cur    int // chunk being carved
+	fOff   int // carve offset within chunks[cur]
 	ints   []int64
 	iOff   int
 	// tables retains every shell ever handed out so Reset can recycle
@@ -32,11 +37,12 @@ type Arena struct {
 	tOff   int
 }
 
-// minimum slab sizes; real jobs grow past these on first use and then
-// stay put.
+// Slab sizes: floats grow a chunk at a time (a request larger than a
+// chunk gets a chunk of its own size); the int slab doubles from its
+// minimum and stays put once it covers a cycle.
 const (
-	arenaMinFloats = 4096
-	arenaMinInts   = 1024
+	arenaChunkFloats = 32 << 10
+	arenaMinInts     = 1024
 )
 
 // Reset recycles the arena: previously handed-out slices and tables are
@@ -46,7 +52,7 @@ func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	a.fOff, a.iOff, a.tOff = 0, 0, 0
+	a.cur, a.fOff, a.iOff, a.tOff = 0, 0, 0, 0
 }
 
 // Floats returns an n-element slice with unspecified contents, capacity
@@ -55,23 +61,16 @@ func (a *Arena) Floats(n int) []float64 {
 	if a == nil {
 		return make([]float64, n)
 	}
-	if a.fOff+n > len(a.floats) {
-		size := 2 * len(a.floats)
-		if size < n {
-			size = n
+	for ; a.cur < len(a.chunks); a.cur, a.fOff = a.cur+1, 0 {
+		if c := a.chunks[a.cur]; a.fOff+n <= len(c) {
+			s := c[a.fOff : a.fOff+n : a.fOff+n]
+			a.fOff += n
+			return s
 		}
-		if size < arenaMinFloats {
-			size = arenaMinFloats
-		}
-		// The old slab stays alive through the slices already handed out;
-		// the arena just stops carving from it. After the doubling settles
-		// one slab covers a whole Reset cycle.
-		a.floats = make([]float64, size)
-		a.fOff = 0
 	}
-	s := a.floats[a.fOff : a.fOff+n : a.fOff+n]
-	a.fOff += n
-	return s
+	a.chunks = append(a.chunks, make([]float64, max(n, arenaChunkFloats)))
+	a.fOff = n
+	return a.chunks[a.cur][:n:n]
 }
 
 // Ints returns an n-element int64 slice with unspecified contents.
@@ -132,7 +131,7 @@ var (
 // GetArena checks a reset arena out of the process-wide pool.
 func GetArena() *Arena {
 	a := arenaPool.Get().(*Arena)
-	if a.floats != nil || a.tables != nil {
+	if a.chunks != nil || a.tables != nil {
 		arenaPoolHits.Inc()
 	} else {
 		arenaPoolMisses.Inc()

@@ -69,3 +69,43 @@ func axes(tables []*Table) []string {
 	}
 	return out
 }
+
+// TestArenaFloatsChunks carves a cycle spanning several chunks, including
+// a request larger than a chunk: the slices never overlap, and once the
+// chunks exist a Reset cycle of the same shape allocates nothing.
+func TestArenaFloatsChunks(t *testing.T) {
+	sizes := []int{300, arenaChunkFloats - 100, 300, 3 * arenaChunkFloats, 7, 300}
+	a := &Arena{}
+	cycle := func() [][]float64 {
+		a.Reset()
+		out := make([][]float64, len(sizes))
+		for i, n := range sizes {
+			out[i] = a.Floats(n)
+		}
+		return out
+	}
+	got := cycle()
+	for i, s := range got {
+		if len(s) != sizes[i] || cap(s) != sizes[i] {
+			t.Fatalf("slice %d: len %d cap %d, want %d", i, len(s), cap(s), sizes[i])
+		}
+		for j := range s {
+			s[j] = float64(i)
+		}
+	}
+	for i, s := range got {
+		for _, v := range s {
+			if v != float64(i) {
+				t.Fatalf("slice %d overlaps another", i)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		a.Reset()
+		for _, n := range sizes {
+			a.Floats(n)
+		}
+	}); n != 0 {
+		t.Fatalf("a warm arena allocated %v times per cycle", n)
+	}
+}
