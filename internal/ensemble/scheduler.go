@@ -85,10 +85,10 @@ const (
 	restoreHeadroom = 0.9
 )
 
-// rebalance runs once per scored batch (amortized: a mutex and a few
-// float comparisons). It sheds at most one member and restores at most
-// one member per call, so membership moves one step at a time and the
-// ledger re-measures between steps.
+// rebalance runs once per logical batch, from BeginBatch (amortized: a
+// mutex and a few float comparisons). It sheds at most one member and
+// restores at most one member per call, so membership moves one step at
+// a time and the ledger re-measures between steps.
 func (s *scheduler) rebalance() {
 	s.mu.Lock()
 	budget := s.budgetNs
