@@ -407,3 +407,80 @@ func TestBudgetSchedulerShedRestore(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 }
+
+// TestOverlappingBatchesKeepOneMemberSet runs two detector batches at a
+// time, each fanned out across four workers, while LOF's scheduler flag
+// flips continuously. Every batch must fuse all of its chunks over one
+// member set: its scores equal, as a whole, either the full fleet's or
+// the LOF-shed fleet's — never a mix of the two.
+func TestOverlappingBatchesKeepOneMemberSet(t *testing.T) {
+	art, test := cheapCascade(t, []string{"naive", "kmeans", "lof"}, ensemble.FusionRank)
+	det, err := art.Detector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, ok := ensemble.Of(art)
+	if !ok {
+		t.Fatal("no live ensemble")
+	}
+	// A probe between the low- and high-water marks holds the scheduler
+	// still, so the flips below are the only membership changes.
+	ens.SetLoadProbe(func() (int, int) { return 30, 100 })
+	defer ens.SetLoadProbe(nil)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+
+	full := det.Scores(test.X)
+	ens.ForceActiveForTest("lof", false)
+	shed := det.Scores(test.X)
+	ens.ForceActiveForTest("lof", true)
+	differ := 0
+	for i := range full {
+		if full[i] != shed[i] {
+			differ++
+		}
+	}
+	if differ < 2 {
+		t.Fatalf("shedding lof changed %d scores; the test cannot tell member sets apart", differ)
+	}
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	var stop atomic.Bool
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for on := false; !stop.Load(); on = !on {
+			ens.ForceActiveForTest("lof", on)
+			runtime.Gosched()
+		}
+	}()
+	const callers, batches = 2, 40
+	mixed := make(chan int, callers*batches)
+	done := make(chan struct{})
+	for c := 0; c < callers; c++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for b := 0; b < batches; b++ {
+				got := det.Scores(test.X)
+				if !same(got, full) && !same(got, shed) {
+					mixed <- b
+				}
+			}
+		}()
+	}
+	for c := 0; c < callers; c++ {
+		<-done
+	}
+	stop.Store(true)
+	<-flipped
+	ens.ForceActiveForTest("lof", true)
+	if n := len(mixed); n > 0 {
+		t.Fatalf("%d of %d batches fused chunks over different member sets", n, callers*batches)
+	}
+}
