@@ -128,29 +128,44 @@ func TestSketchObserveZeroAlloc(t *testing.T) {
 }
 
 // TestCostLedger exercises resolve-once Record and the snapshot payload.
+// The ledger is process-global, so the test asserts deltas against a
+// snapshot taken before it records: a second run (-count=2, -cpu 1,4)
+// sees the same 100 rows at 20µs each.
 func TestCostLedger(t *testing.T) {
+	before := ledgerRow("ledgertest")
 	e := CostFor("ledgertest")
 	e.Record(100, 2e6) // 100 rows, 2ms → 20µs/row
 	e.Record(0, 1e9)   // no rows: ignored
 	var nilEntry *CostEntry
 	nilEntry.Record(5, 1e6) // nil-safe no-op
 
-	var row *CostRow
-	for _, r := range LedgerSnapshot() {
-		if r.Model == "ledgertest" {
-			row = &r
-			break
-		}
-	}
-	if row == nil {
+	after := ledgerRow("ledgertest")
+	if after.Model == "" {
 		t.Fatal("ledgertest missing from LedgerSnapshot")
 	}
-	if row.Rows != 100 {
-		t.Fatalf("rows = %v, want 100", row.Rows)
+	rows := after.Rows - before.Rows
+	if rows != 100 {
+		t.Fatalf("rows = %v, want 100", rows)
 	}
-	if math.Abs(row.NsPerRow-20000) > 1 {
-		t.Fatalf("ns/row = %v, want 20000", row.NsPerRow)
+	if nsPerRow := (after.Seconds - before.Seconds) * 1e9 / rows; math.Abs(nsPerRow-20000) > 1 {
+		t.Fatalf("ns/row delta = %v, want 20000", nsPerRow)
 	}
+	// Every run records at the same 20µs/row, so the cumulative NsPerRow
+	// that LedgerSnapshot computes stays exact across re-runs.
+	if math.Abs(after.NsPerRow-20000) > 1 {
+		t.Fatalf("NsPerRow = %v, want 20000", after.NsPerRow)
+	}
+}
+
+// ledgerRow returns model's LedgerSnapshot row, or the zero row when the
+// model has not been charged yet.
+func ledgerRow(model string) CostRow {
+	for _, r := range LedgerSnapshot() {
+		if r.Model == model {
+			return r
+		}
+	}
+	return CostRow{}
 }
 
 // TestCostRecordZeroAlloc pins the per-batch cost of ledger recording.

@@ -127,8 +127,6 @@ func (s *shard) close() {
 // batch or joins the one being collected. The spawner in NewTier owns the
 // WaitGroup join.
 func (s *shard) run() {
-	ws := mat.GetWorkspace()
-	defer mat.Release(ws)
 	for {
 		first, ok := <-s.reqC
 		if !ok {
@@ -137,7 +135,7 @@ func (s *shard) run() {
 		// A request that overflows the open batch (size bound) carries
 		// over to open the next one.
 		for first != nil {
-			first = s.batchOnce(ws, first)
+			first = s.batchOnce(first)
 		}
 	}
 }
@@ -147,7 +145,7 @@ func (s *shard) run() {
 // (latency bound), the staged rows reach MaxBatch (size bound), or the
 // admission channel closes (drain). Returns the request that arrived but
 // did not fit, if any — it opens the next batch.
-func (s *shard) batchOnce(ws *mat.Workspace, first *request) (overflow *request) {
+func (s *shard) batchOnce(first *request) (overflow *request) {
 	cfg := &s.tier.cfg
 	batch := s.batch[:0]
 	rows := 0
@@ -183,32 +181,34 @@ collect:
 		trigger = flushSize
 	}
 	timer.Stop()
-	s.flush(ws, batch, trigger)
-	s.batch = batch[:0] // keep the grown capacity for the next batch
+	s.flush(batch, trigger)
+	// Drop the flushed requests before keeping the grown capacity for the
+	// next batch: a stale slot would pin its request's decoded vectors
+	// until a later batch happened to overwrite it.
+	clear(batch)
+	s.batch = batch[:0]
 	return overflow
 }
 
-// flush stages the batch's rows into a pooled workspace buffer, scores
-// them in one detector call, and demuxes per-request subslices of the
-// output back to the waiters. Deadline-aware shedding happens here, at
-// the flush boundary: a request that already waited past its deadline is
-// answered ErrOverloaded instead of being scored late, so overload shows
-// up as sheds, not as unbounded tail latency.
-func (s *shard) flush(ws *mat.Workspace, batch []*request, trigger string) {
+// flush sheds the batch's expired requests, stages the live rows into a
+// buffer of exactly that many rows, scores them in one detector call, and
+// demuxes per-request subslices of the output back to the waiters.
+// Deadline-aware shedding happens here, at the flush boundary: a request
+// that already waited past its deadline is answered ErrOverloaded instead
+// of being scored late, so overload shows up as sheds, not as unbounded
+// tail latency. The staging buffer comes from a workspace checked out of
+// the package pool for this flush alone, so a flush's memory follows the
+// rows it scores and a rare MaxBatch-sized batch does not hold its buffer
+// for the tier's lifetime.
+func (s *shard) flush(batch []*request, trigger string) {
 	cfg := &s.tier.cfg
 	now := cfg.Clock.Now()
-	width := len(s.replica.FeatureNames())
-	buf := ws.Get(cfg.MaxBatch, width)
-	defer ws.Put(buf)
 	live, rows := 0, 0
 	for _, r := range batch {
 		if now.After(r.deadline) {
 			shedTotal.With(shedDeadline).Inc()
 			r.done <- outcome{err: ErrOverloaded}
 			continue
-		}
-		for i, v := range r.vectors {
-			copy(buf.Data[(rows+i)*width:(rows+i+1)*width], v)
 		}
 		r.off = rows
 		rows += r.rows
@@ -218,10 +218,18 @@ func (s *shard) flush(ws *mat.Workspace, batch []*request, trigger string) {
 	if rows == 0 {
 		return
 	}
+	width := len(s.replica.FeatureNames())
+	ws := mat.GetWorkspace()
+	defer mat.Release(ws)
+	staged := ws.Get(rows, width)
+	for _, r := range batch[:live] {
+		for i, v := range r.vectors {
+			copy(staged.Row(r.off+i), v)
+		}
+	}
 	batchRows.Observe(float64(rows))
 	flushTotal.With(trigger).Inc()
-	view := mat.NewFromData(rows, width, buf.Data[:rows*width])
-	preds, scores, threshold := s.replica.DetectBatch(view)
+	preds, scores, threshold := s.replica.DetectBatch(staged)
 	gen := s.replica.Generation()
 	for _, r := range batch[:live] {
 		waited := now.Sub(r.enqueued)

@@ -2,12 +2,13 @@
 // the detection pipeline (ROADMAP item 2, the millions-of-users story):
 //
 //   - A request coalescer micro-batches concurrent scoring requests into
-//     the pipeline's parallel batch path: requests stage their rows into a
-//     pooled workspace-backed buffer and are flushed together when the
-//     coalescing window elapses (latency bound) or the batch fills (size
-//     bound), then each waiter gets its subslice of the batch verdicts
-//     back. Scores are bit-identical to per-request scoring — batching
-//     changes the schedule, not the arithmetic.
+//     the pipeline's parallel batch path: requests are flushed together
+//     when the coalescing window elapses (latency bound) or the batch
+//     fills (size bound), their live rows are staged into a buffer of
+//     exactly that many rows from a pooled workspace, and each waiter gets
+//     its subslice of the batch verdicts back. Scores are bit-identical to
+//     per-request scoring — batching changes the schedule, not the
+//     arithmetic.
 //
 //   - A sharded replica tier stamps N core.Prodigy replicas out of one
 //     trained artifact and consistent-hashes work across them, so
@@ -109,7 +110,8 @@ type Config struct {
 	// for co-batched company before its batch flushes. Default 2ms.
 	Window time.Duration
 	// MaxBatch is the size bound in rows per coalesced batch; a full batch
-	// flushes immediately. Default 4096.
+	// flushes immediately. It bounds rows only and reserves no memory: a
+	// flush stages just the rows it scores. Default 4096.
 	MaxBatch int
 	// MaxQueue bounds each shard's admission queue in rows; requests
 	// beyond it are shed with ErrOverloaded. Default 4×MaxBatch.

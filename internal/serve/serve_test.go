@@ -18,12 +18,14 @@ import (
 // testProdigy trains a small but real pipeline: 96 samples × 24 features,
 // a thin VAE, Chi-square selection down to 12 — fast enough for the race
 // detector, real enough that scores are nontrivial.
-func testProdigy(t testing.TB) *core.Prodigy {
+func testProdigy(t testing.TB) *core.Prodigy { return trainProdigy(t, 24) }
+
+// trainProdigy is testProdigy over a full feature space of the given
+// width; selection still keeps 12 features, so training cost barely
+// grows with it.
+func trainProdigy(t testing.TB, features int) *core.Prodigy {
 	t.Helper()
-	const (
-		samples  = 96
-		features = 24
-	)
+	const samples = 96
 	rng := rand.New(rand.NewSource(7))
 	names := make([]string, features)
 	for i := range names {
