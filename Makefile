@@ -2,7 +2,7 @@
 # `make bench-json` backs the per-commit BENCH_*.json artifacts and
 # `make bench-diff` gates a fresh emission against the committed ones.
 
-.PHONY: check build vet test race lint lint-json fmt-check fuzz bench bench-json bench-train bench-features bench-serving bench-ensemble bench-diff
+.PHONY: check build vet test race lint lint-json fmt-check fuzz perfbench-check bench bench-json bench-train bench-features bench-serving bench-ensemble bench-diff
 
 build:
 	go build ./...
@@ -44,7 +44,13 @@ fuzz:
 	go test ./internal/server/ -run '^$$' -fuzz FuzzDecodeScoreRequest -fuzztime 10s
 	go test ./internal/obs/ -run '^$$' -fuzz FuzzSeriesLabels -fuzztime 10s
 
-check: build vet fmt-check lint race
+# perfbench/ is a nested module, so `go build ./...` never compiles it,
+# though it imports core, mat, serve and server: vet and test it on its
+# own so an API change cannot break the benchmark unseen.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
+
+check: build vet fmt-check lint race perfbench-check
 
 # Full benchmark sweep plus the scoring snapshot (bench-json). CI runs
 # only bench-json; the sweep is the laptop workflow.

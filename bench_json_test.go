@@ -124,13 +124,12 @@ func TestEmitScoringBenchJSON(t *testing.T) {
 		t.Skip("set BENCH_JSON=<path> to emit the scoring benchmark JSON")
 	}
 	emitBenchJSON(t, path, []namedBench{
-		// The scoring hot paths PR 1 parallelized and this PR made
-		// allocation-free, plus the end-to-end dashboard request — the
-		// surfaces an instrumentation or perf PR can regress.
+		// The parallel, allocation-free scoring hot paths — the surfaces
+		// an instrumentation or perf change can regress. The end-to-end
+		// dashboard request and feature extraction live in
+		// BENCH_features.json.
 		{"VAEInference", BenchmarkVAEInference},
 		{"BatchScoresParallel", BenchmarkBatchScoresParallel},
-		{"EndToEndDetection", BenchmarkEndToEndDetection},
-		{"FeatureExtraction", BenchmarkFeatureExtraction},
 		// The same serving batch with model-health instrumentation on and
 		// off: the pair proves the sketch/ledger/counter layer stays under
 		// its 5% overhead budget (DESIGN.md §13).
@@ -213,16 +212,15 @@ func TestEmitFeaturesBenchJSON(t *testing.T) {
 }
 
 // TestEmitMatmulBenchJSON (BENCH_MATMUL_JSON) snapshots the mat kernels:
-// allocating vs Into at the same shapes, plus the fused dense kernel.
+// the destination-passing matmuls at two sizes, the transposed forms and
+// the fused dense kernel.
 func TestEmitMatmulBenchJSON(t *testing.T) {
 	path := os.Getenv("BENCH_MATMUL_JSON")
 	if path == "" {
 		t.Skip("set BENCH_MATMUL_JSON=<path> to emit the matmul benchmark JSON")
 	}
 	emitBenchJSON(t, path, []namedBench{
-		{"MatMul128", BenchmarkKernelMatMul128},
 		{"MatMulInto128", BenchmarkKernelMatMulInto128},
-		{"MatMul256", BenchmarkKernelMatMul256},
 		{"MatMulInto256", BenchmarkKernelMatMulInto256},
 		{"MatMulTInto128", BenchmarkKernelMatMulTInto128},
 		{"TMatMulInto128", BenchmarkKernelTMatMulInto128},

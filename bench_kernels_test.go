@@ -10,23 +10,17 @@ import (
 )
 
 // Kernel and training micro-benchmarks backing BENCH_matmul.json and
-// BENCH_train.json (see bench_json_test.go). The allocating/Into pairs
-// measured at the same shapes are the PR-over-PR record of what
-// destination passing buys: the Into rows should hold ns/op while
-// dropping to 0 allocs/op.
+// BENCH_train.json (see bench_json_test.go). Every kernel writes into a
+// reused destination, so each row should report 0 allocs/op.
 
-func benchMatMulPair(b *testing.B, n int, into bool) {
+func benchMatMulInto(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
 	x := mat.Randn(n, n, 1, rng)
 	y := mat.Randn(n, n, 1, rng)
 	dst := mat.New(n, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if into {
-			mat.MatMulInto(dst, x, y)
-		} else {
-			mat.MatMul(x, y)
-		}
+		mat.MatMulInto(dst, x, y)
 	}
 	reportMadds(b, n)
 }
@@ -36,10 +30,8 @@ func reportMadds(b *testing.B, n int) {
 	b.ReportMetric(float64(n)*float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mmadds/s")
 }
 
-func BenchmarkKernelMatMul128(b *testing.B)     { benchMatMulPair(b, 128, false) }
-func BenchmarkKernelMatMulInto128(b *testing.B) { benchMatMulPair(b, 128, true) }
-func BenchmarkKernelMatMul256(b *testing.B)     { benchMatMulPair(b, 256, false) }
-func BenchmarkKernelMatMulInto256(b *testing.B) { benchMatMulPair(b, 256, true) }
+func BenchmarkKernelMatMulInto128(b *testing.B) { benchMatMulInto(b, 128) }
+func BenchmarkKernelMatMulInto256(b *testing.B) { benchMatMulInto(b, 256) }
 
 func BenchmarkKernelMatMulTInto128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

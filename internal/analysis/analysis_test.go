@@ -203,6 +203,27 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
+// TestDefaultRootsResolve fails when a default root spec names no function
+// in the production module. resolveRoots drops such a spec silently, so a
+// deleted or renamed entry point would otherwise shrink the coverage of
+// statelessinfer and hotalloc without a trace.
+func TestDefaultRootsResolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	u, err := fixtureLoader(t).LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newCallGraph(u)
+	// DefaultHotPathRoots extends DefaultStatelessRoots, so this covers both.
+	for _, spec := range DefaultHotPathRoots() {
+		if len(g.resolveRoots([]RootSpec{spec})) == 0 {
+			t.Errorf("{%s, %s} resolves to no function in the module", spec.Type, spec.Method)
+		}
+	}
+}
+
 // TestModuleClean runs the full default suite over the real module — the
 // same check `make lint` gates on.
 func TestModuleClean(t *testing.T) {

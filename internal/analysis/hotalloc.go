@@ -9,8 +9,8 @@ import (
 // HotAlloc enforces the memory discipline of DESIGN.md §10: code
 // reachable from the stateless-inference roots must use the
 // destination-passing mat kernels (MatMulInto, ApplyInto, ...) with
-// workspace-owned buffers, never the allocating forms (mat.New,
-// mat.MatMul, Matrix.Clone, ...). Steady-state inference is
+// workspace-owned buffers, never the allocating constructors and copies
+// (mat.New, Matrix.Clone, Matrix.SelectRows, ...). Steady-state inference is
 // zero-allocation — pinned by testing.AllocsPerRun regression tests —
 // and this analyzer keeps new code from quietly re-introducing heap
 // traffic the benchmarks would only catch later.
@@ -20,9 +20,9 @@ import (
 // statically resolvable callee is visited — interface calls fan out to
 // all module implementations — and each call whose callee is a
 // denylisted allocating symbol of the mat package is reported. A flagged
-// call is a boundary: its body is not traversed, so a compat wrapper
-// suppressed with //lint:ignore hotalloc <reason> does not leak its
-// internal allocations into the hot graph.
+// call is a boundary: its body is not traversed, so a call suppressed
+// with //lint:ignore hotalloc <reason> does not leak its internal
+// allocations into the hot graph.
 type HotAlloc struct {
 	// Roots selects the hot-path entry points, same spec format as
 	// StatelessInfer.Roots.
@@ -48,17 +48,16 @@ const defaultMatPath = "prodigy/internal/mat"
 // draw scratch from the features.Workspace.
 func DefaultHotPathRoots() []RootSpec {
 	return append(DefaultStatelessRoots(),
-		RootSpec{"Layer", "ApplyInto"},
 		RootSpec{"Network", "BackwardParamsInto"},
 		RootSpec{"Network", "BackwardInputInto"},
 		RootSpec{"Sharder", "Reduce"},
 		RootSpec{"Catalog", "ExtractSeriesInto"},
 		RootSpec{"Catalog", "ExtractTableInto"},
 		RootSpec{"Catalog", "ExtractPlanInto"},
-		// Job-assembly Into path of DESIGN.md §15: query + align draw every
-		// slice and table shell from the caller's arena, so the per-request
+		// Job-assembly Into path of DESIGN.md §15 (its Store.QueryJobInto
+		// half is a stateless root): query + align draw every slice and
+		// table shell from the caller's arena, so the per-request
 		// AnalyzeJob path stays off the heap until feature extraction.
-		RootSpec{"Store", "QueryJobInto"},
 		RootSpec{"DataGenerator", "JobTablesInto"},
 		// Offline dataset assembly rides the same arena discipline: the
 		// builder's job-collection stage must stay on arena storage end to
@@ -73,12 +72,6 @@ var hotAllocFuncs = map[string]bool{
 	"NewFromData": true,
 	"FromRows":    true,
 	"Randn":       true,
-	"MatMul":      true,
-	"MatMulT":     true,
-	"TMatMul":     true,
-	"Add":         true,
-	"Sub":         true,
-	"Mul":         true,
 	"VStack":      true,
 	// Order statistics that copy-and-sort internally; hot paths sort a
 	// workspace buffer once and use the *Sorted forms.
@@ -89,15 +82,12 @@ var hotAllocFuncs = map[string]bool{
 // hotAllocMethods are the allocating methods of mat types (fresh-value
 // returns: every one has an Into or in-place counterpart).
 var hotAllocMethods = map[string]bool{
-	"Apply":        true,
-	"Clone":        true,
-	"T":            true,
-	"RowCopy":      true,
-	"Col":          true,
-	"SelectRows":   true,
-	"SelectCols":   true,
-	"AddRowVector": true,
-	"SumRows":      true,
+	"Clone":      true,
+	"T":          true,
+	"RowCopy":    true,
+	"Col":        true,
+	"SelectRows": true,
+	"SelectCols": true,
 }
 
 // Name implements Analyzer.

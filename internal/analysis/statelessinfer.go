@@ -9,10 +9,11 @@ import (
 
 // StatelessInfer enforces the concurrency contract of DESIGN.md §7:
 // inference is stateless. Any method reachable from a stateless root
-// (nn.Network.Infer, every implementation of nn.Layer.Apply, the vae/usad
-// score paths, the dsos query paths) must not write model state — neither
-// by assigning receiver fields, nor by calling an in-place helper on a
-// value aliased to the receiver, nor by writing a package-level variable.
+// (nn.Network.InferInto, every implementation of nn.Layer.ApplyInto, the
+// vae/usad score paths, the dsos query paths) must not write model state —
+// neither by assigning receiver fields, nor by calling an in-place helper
+// on a value aliased to the receiver, nor by writing a package-level
+// variable.
 //
 // The analyzer computes, for every function in the module, a summary of
 // which inputs (receiver, parameters) it may mutate and which its results
@@ -35,25 +36,20 @@ type StatelessInfer struct {
 	Roots []RootSpec
 }
 
-// DefaultStatelessRoots covers the DESIGN.md §7 stateless bullets — the
+// DefaultStatelessRoots covers the DESIGN.md §7 stateless bullets: the
 // shared-model forward passes and the dsos query paths the serving layer
-// calls on every request — plus Network.InferInto, which data-parallel
+// calls on every request. Network.InferInto is also what data-parallel
 // training (DESIGN.md §11) runs concurrently against a root network from
-// every shard worker while that root is being trained: it must stay as
-// stateless as the serving path, with all scratch in the caller's
-// workspace.
+// every shard worker while that root is being trained, so it must stay
+// stateless with all scratch in the caller's workspace.
 func DefaultStatelessRoots() []RootSpec {
 	return []RootSpec{
-		{"Network", "Infer"},
 		{"Network", "InferInto"},
-		{"Layer", "Apply"},
-		{"VAE", "Encode"},
-		{"VAE", "Decode"},
-		{"VAE", "Reconstruct"},
+		{"Layer", "ApplyInto"},
 		{"VAE", "Scores"},
 		{"USAD", "Scores"},
 		{"Store", "QuerySampler"},
-		{"Store", "QueryJob"},
+		{"Store", "QueryJobInto"},
 	}
 }
 

@@ -33,10 +33,7 @@ func New(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// MatMul is an allocating kernel.
-func MatMul(a, b *Matrix) *Matrix { return New(a.Rows, b.Cols) }
-
-// MatMulInto is its destination-passing form.
+// MatMulInto is a destination-passing kernel.
 func MatMulInto(dst, a, b *Matrix) *Matrix { return dst }
 
 // Clone is an allocating method.
@@ -46,16 +43,10 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Apply is an allocating method whose name collides with nn.Layer.Apply.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
+// T is an allocating method: a fresh transpose.
+func (m *Matrix) T() *Matrix { return New(m.Cols, m.Rows) }
 
-// ApplyInto is the destination-passing form.
+// ApplyInto is a destination-passing method.
 func (m *Matrix) ApplyInto(dst *Matrix, f func(float64) float64) *Matrix {
 	for i, v := range m.Data {
 		dst.Data[i] = f(v)

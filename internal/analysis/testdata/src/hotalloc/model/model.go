@@ -1,29 +1,18 @@
 // Package model exercises the hotalloc analyzer: allocating mat calls
 // reachable from the stateless roots (directly, through helpers, or
 // through interface dispatch) are findings; the same calls on cold paths
-// are not; suppressed compat wrappers are boundaries.
+// are not; a suppressed call is a boundary.
 package model
 
 import "fixture/hotalloc/mat"
 
-// Layer matches the production root spec {Layer, Apply} / {Layer, ApplyInto}.
+// Layer matches the production root spec {Layer, ApplyInto}.
 type Layer interface {
-	Apply(x *mat.Matrix) *mat.Matrix
 	ApplyInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix
 }
 
-// Dense is the clean implementation: workspace buffers plus a suppressed
-// compat wrapper.
+// Dense is the clean implementation.
 type Dense struct{ w *mat.Matrix }
-
-// Apply is the allocating compat form; its Clone is sanctioned and the
-// wrapper is a boundary, so Clone's internal mat.New is never reached.
-func (d *Dense) Apply(x *mat.Matrix) *mat.Matrix {
-	ws := mat.GetWorkspace()
-	defer mat.Release(ws)
-	//lint:ignore hotalloc compat wrapper hands the caller a fresh copy
-	return d.ApplyInto(x, ws).Clone()
-}
 
 // ApplyInto stays on workspace buffers: no findings.
 func (d *Dense) ApplyInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
@@ -34,36 +23,42 @@ func (d *Dense) ApplyInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 // Slow allocates on the hot path, directly and through a helper.
 type Slow struct{ w *mat.Matrix }
 
-func (s *Slow) Apply(x *mat.Matrix) *mat.Matrix {
-	return mat.MatMul(x, s.w) //want:hotalloc
-}
-
 func (s *Slow) ApplyInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
-	return s.helper(x)
+	y := mat.New(x.Rows, s.w.Cols) //want:hotalloc
+	return s.helper(mat.MatMulInto(y, x, s.w))
 }
 
 // helper is only reachable through Slow.ApplyInto: findings must follow
-// the call graph, not just root bodies. The mat.Matrix.Apply hit also
-// proves the denylist matches by receiver package, not bare name.
+// the call graph, not just root bodies.
 func (s *Slow) helper(x *mat.Matrix) *mat.Matrix {
-	y := x.Apply(square) //want:hotalloc
-	return y.Clone()     //want:hotalloc
+	y := x.T()       //want:hotalloc
+	return y.Clone() //want:hotalloc
 }
 
-func square(v float64) float64 { return v * v }
-
-// Network matches the root spec {Network, Infer}.
+// Network matches the root spec {Network, InferInto}.
 type Network struct{ layers []Layer }
 
-// Infer dispatches through the Layer interface, pulling every
+// InferInto dispatches through the Layer interface, pulling every
 // implementation — including Slow — into the hot graph.
-func (n *Network) Infer(x *mat.Matrix) *mat.Matrix {
+func (n *Network) InferInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	n.audit()
 	cur := x
 	for _, l := range n.layers {
-		cur = l.Apply(cur)
+		cur = l.ApplyInto(cur, ws)
 	}
 	return cur
+}
+
+// VAE matches the root spec {VAE, Scores}. Its copy out of the workspace
+// is sanctioned, and the suppressed call is a boundary: Clone's internal
+// mat.New is never reached.
+type VAE struct{ net *Network }
+
+func (v *VAE) Scores(x *mat.Matrix) *mat.Matrix {
+	ws := mat.GetWorkspace()
+	defer mat.Release(ws)
+	//lint:ignore hotalloc fixture: the caller gets a fresh copy
+	return v.net.InferInto(x, ws).Clone()
 }
 
 // Namesake has a Clone colliding with mat.Matrix.Clone by name only; it
@@ -81,7 +76,7 @@ func (n *Network) audit() *Namesake {
 // Fit is a cold path: training code may allocate freely.
 func Fit(x *mat.Matrix) *mat.Matrix {
 	scratch := mat.New(x.Rows, x.Cols)
-	return mat.MatMul(scratch, x)
+	return mat.MatMulInto(scratch, x, x.T())
 }
 
 // Sharder matches the root spec {Sharder, Reduce}: the fixed-order

@@ -16,10 +16,10 @@ func (v *VAE) Scores(x *Matrix) *Matrix {
 	return out
 }
 
-// QueryJob copies the aliased row before returning, and defers the lazy
+// QueryJobInto copies the aliased row before returning, and defers the lazy
 // sort to a *Locked method — the caller-holds-lock convention the
 // analyzer exempts (lock discipline belongs to the race detector).
-func (s *Store) QueryJob(i int) []float64 {
+func (s *Store) QueryJobInto(i int) []float64 {
 	s.ensureSortedLocked()
 	return append([]float64(nil), s.buf.Row(i)...)
 }
@@ -34,8 +34,8 @@ func (s *Store) ensureSortedLocked() {
 // read through its function field.
 type Activation struct{ F func(float64) float64 }
 
-// Apply is a clean Layer implementation.
-func (a *Activation) Apply(x *Matrix) *Matrix {
+// ApplyInto is a clean Layer implementation.
+func (a *Activation) ApplyInto(x *Matrix) *Matrix {
 	out := New(len(x.Data))
 	for i, v := range x.Data {
 		out.Data[i] = a.F(v)

@@ -1,5 +1,5 @@
 // Package stateless is the statelessinfer fixture: type names match the
-// default roots (Network.Infer, Layer.Apply, Store.Query*), so the
+// default roots (Network.InferInto, Layer.ApplyInto, Store.Query*), so the
 // analyzer treats these methods as stateless entry points.
 package stateless
 
@@ -15,22 +15,27 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i : i+1] }
 
 var inferCalls int
 
-// Network matches the Network.Infer root.
+// Network matches the Network.InferInto root, which data-parallel
+// training (DESIGN.md §11) also calls concurrently from every shard worker
+// while the network trains.
 type Network struct {
 	cache  *Matrix
 	copies int
 }
 
-// Infer violates the contract three ways: a receiver-field write, a
+// InferInto violates the contract three ways: a receiver-field write, a
 // mutation one call deep, and a package-level counter bump.
-func (n *Network) Infer(x *Matrix) *Matrix {
+func (n *Network) InferInto(x, dst *Matrix) *Matrix {
 	n.cache = x  //want:statelessinfer
 	n.noteCopy() //want:statelessinfer
 	inferCalls++ //want:statelessinfer
-	return scale(x, 2)
+	for i, v := range x.Data {
+		dst.Data[i] = v * 2
+	}
+	return dst
 }
 
-// noteCopy mutates the receiver; reachable from Infer, so flagged even
+// noteCopy mutates the receiver; reachable from InferInto, so flagged even
 // though the write is a call away.
 func (n *Network) noteCopy() {
 	n.copies++ //want:statelessinfer
@@ -45,10 +50,10 @@ func scale(x *Matrix, f float64) *Matrix {
 	return out
 }
 
-// Layer matches the interface root Layer.Apply: every implementation
+// Layer matches the interface root Layer.ApplyInto: every implementation
 // becomes a stateless entry point.
 type Layer interface {
-	Apply(x *Matrix) *Matrix
+	ApplyInto(x *Matrix) *Matrix
 }
 
 // Dense implements Layer and caches its input — the PR-1 bug class.
@@ -57,8 +62,8 @@ type Dense struct {
 	calls int
 }
 
-// Apply is flagged because Dense is found as a Layer implementation.
-func (d *Dense) Apply(x *Matrix) *Matrix {
+// ApplyInto is flagged because Dense is found as a Layer implementation.
+func (d *Dense) ApplyInto(x *Matrix) *Matrix {
 	d.calls++ //want:statelessinfer
 	return scale(x, 2)
 }
@@ -72,16 +77,4 @@ func (s *Store) QuerySampler(i int) []float64 {
 	row := s.buf.Row(i)
 	row[0] = 0 //want:statelessinfer
 	return row
-}
-
-// InferInto is the destination-passing inference root that data-parallel
-// training (DESIGN.md §11) calls concurrently from every shard worker
-// while the network trains; caching into the receiver is the same bug
-// class as Infer's.
-func (n *Network) InferInto(x, dst *Matrix) *Matrix {
-	n.cache = x //want:statelessinfer
-	for i, v := range x.Data {
-		dst.Data[i] = v * 2
-	}
-	return dst
 }

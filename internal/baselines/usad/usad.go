@@ -327,5 +327,24 @@ func (u *USAD) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	u.ae2 = &nn.Network{}
-	return json.Unmarshal(p.AE2, u.ae2)
+	if err := json.Unmarshal(p.AE2, u.ae2); err != nil {
+		return err
+	}
+	// Both autoencoders must map InputDim → InputDim, so a malformed
+	// artifact fails at load instead of panicking on its first score.
+	for i, ae := range []*nn.Network{u.ae1, u.ae2} {
+		in, out := 0, 0
+		for _, l := range ae.Layers {
+			if d, ok := l.(*nn.Dense); ok {
+				if in == 0 {
+					in = d.In()
+				}
+				out = d.Out()
+			}
+		}
+		if in != u.Cfg.InputDim || out != u.Cfg.InputDim {
+			return fmt.Errorf("usad: ae%d maps %d → %d, config input dim is %d", i+1, in, out, u.Cfg.InputDim)
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package usad
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -162,6 +163,46 @@ func TestDeterministicWithSeed(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must reproduce")
+		}
+	}
+}
+
+// TestUnmarshalRejectsMalformedWidths loads artifacts whose autoencoders
+// are each well formed but do not map the configured input width onto
+// itself. Each must fail at load rather than panic on its first score.
+func TestUnmarshalRejectsMalformedWidths(t *testing.T) {
+	marshal := func(inputDim int) map[string]json.RawMessage {
+		u, err := New(smallConfig(inputDim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f map[string]json.RawMessage
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	wide := marshal(7)
+	for i, tc := range []struct {
+		field string
+		value json.RawMessage
+	}{
+		{"ae1", wide["ae1"]},
+		{"ae2", wide["ae2"]},
+		{"ae1", json.RawMessage(`{"layers":[]}`)},
+	} {
+		f := marshal(6)
+		f[tc.field] = tc.value
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &USAD{}); err == nil {
+			t.Errorf("case %d: malformed %s loaded without error", i, tc.field)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func (c *Classifier) Classify(vec []float64) (*Diagnosis, error) {
 	if len(vec) != c.exemplars.Cols {
 		return nil, fmt.Errorf("diagnose: sample has %d features, classifier expects %d", len(vec), c.exemplars.Cols)
 	}
-	x := c.scaler.Transform(mat.NewFromData(1, len(vec), vec)).Row(0)
+	x := c.scaler.TransformInto(&mat.Matrix{}, mat.NewFromData(1, len(vec), vec)).Row(0)
 	type cand struct {
 		dist float64
 		typ  string

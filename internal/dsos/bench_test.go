@@ -35,7 +35,7 @@ func BenchmarkQueryJob(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryJob(1); err != nil {
+		if _, err := s.QueryJobInto(nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -236,15 +236,11 @@ func (b *buffer) sortLocked() {
 	b.sorted = true
 }
 
-// QueryJob returns, for each component of the job, the aligned table of all
-// three samplers' metrics (the DataGenerator input, §4.2.1). Components
-// with no data for some sampler get only the samplers they have.
-func (s *Store) QueryJob(job int64) (map[int]*timeseries.Table, error) {
-	return s.QueryJobInto(nil, job)
-}
-
-// QueryJobInto is QueryJob backed by an arena: the aligned output and
-// every column in it come from a, so a pooled caller assembles a job's
+// QueryJobInto returns, for each component of the job, the aligned table of
+// all three samplers' metrics (the DataGenerator input, §4.2.1).
+// Components with no data for some sampler get only the samplers they
+// have. The aligned output and every column in it come from the arena a
+// (nil allocates them fresh), so a pooled caller assembles a job's
 // tables with only the per-call result map allocated. Alignment uses the
 // sorted-merge AlignSortedInto and reads the store's buffers in place
 // under the lock (buffers are sorted on demand), so each value is copied

@@ -91,7 +91,7 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := s.QuerySampler(1, 1, ldms.Meminfo); err == nil {
 		t.Fatal("expected error for missing data")
 	}
-	if _, err := s.QueryJob(1); err == nil {
+	if _, err := s.QueryJobInto(nil, 1); err == nil {
 		t.Fatal("expected error for unknown job")
 	}
 }
@@ -104,7 +104,7 @@ func TestQueryJobAlignsSamplers(t *testing.T) {
 	}
 	s.Ingest(row(1, 4, 0, ldms.Vmstat, map[string]float64{"pgfault": 10}))
 	s.Ingest(row(1, 4, 2, ldms.Vmstat, map[string]float64{"pgfault": 30}))
-	tables, err := s.QueryJob(1)
+	tables, err := s.QueryJobInto(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestEndToEndCollection(t *testing.T) {
 	store := NewStore()
 	sys.CollectJob(job, ldms.CollectConfig{DropProb: 0.02, Seed: 5}, store)
 
-	tables, err := store.QueryJob(job.ID)
+	tables, err := store.QueryJobInto(nil, job.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"prodigy/internal/core"
 	"prodigy/internal/eval"
 	"prodigy/internal/featsel"
+	"prodigy/internal/mat"
 	"prodigy/internal/pipeline"
 	"prodigy/internal/scale"
 )
@@ -192,7 +193,7 @@ func RunAblationKMeans(budget Budget, seed int64) (*AblationResult, error) {
 	TopKFor(&pCfg, train.X.Cols)
 	sc := scale.NewMinMax()
 	xTrain := scale.FitTransform(sc, selection.Apply(train.X))
-	xTest := sc.Transform(selection.Apply(test.X))
+	xTest := sc.TransformInto(&mat.Matrix{}, selection.Apply(test.X))
 
 	res := &AblationResult{Study: "K-means baseline (rejected in §5.3)"}
 	for _, k := range []int{2, 4, 8, 16} {

@@ -13,6 +13,7 @@ import (
 	"prodigy/internal/core"
 	"prodigy/internal/eval"
 	"prodigy/internal/featsel"
+	"prodigy/internal/mat"
 	"prodigy/internal/pipeline"
 	"prodigy/internal/scale"
 )
@@ -155,7 +156,7 @@ func runFoldMethods(train, test *pipeline.Dataset, campaignCfg CampaignConfig, b
 	xTrainSel := selection.Apply(train.X)
 	sc := scale.NewMinMax()
 	xTrainScaled := scale.FitTransform(sc, xTrainSel)
-	xTestScaled := sc.Transform(selection.Apply(test.X))
+	xTestScaled := sc.TransformInto(&mat.Matrix{}, selection.Apply(test.X))
 
 	ifCfg := iforest.DefaultConfig()
 	ifCfg.Seed = seed

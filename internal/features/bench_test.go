@@ -14,15 +14,6 @@ func benchSeries(n int) []float64 {
 	return x
 }
 
-func benchmarkExtract(b *testing.B, cat *Catalog, n int) {
-	x := benchSeries(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cat.ExtractSeries(x)
-	}
-}
-
 // benchmarkExtractInto measures the steady-state destination-passing form:
 // zero allocations once the workspace buffers are warm.
 func benchmarkExtractInto(b *testing.B, cat *Catalog, n int) {
@@ -36,11 +27,6 @@ func benchmarkExtractInto(b *testing.B, cat *Catalog, n int) {
 		cat.ExtractSeriesInto(dst, x, ws)
 	}
 }
-
-func BenchmarkExtractMinimal300(b *testing.B)   { benchmarkExtract(b, Minimal(), 300) }
-func BenchmarkExtractEfficient300(b *testing.B) { benchmarkExtract(b, Default(), 300) }
-func BenchmarkExtractFull300(b *testing.B)      { benchmarkExtract(b, Full(), 300) }
-func BenchmarkExtractEfficient1k(b *testing.B)  { benchmarkExtract(b, Default(), 1000) }
 
 func BenchmarkExtractIntoMinimal300(b *testing.B)   { benchmarkExtractInto(b, Minimal(), 300) }
 func BenchmarkExtractIntoEfficient300(b *testing.B) { benchmarkExtractInto(b, Default(), 300) }

@@ -71,7 +71,7 @@ func TestContractSweep(t *testing.T) {
 			inputs["constant"][i] = 7.5
 		}
 		for kind, x := range inputs {
-			feats := c.ExtractSeries(x)
+			feats := extract(c, x)
 			if len(feats) != per {
 				t.Fatalf("n=%d %s: got %d features, want %d", n, kind, len(feats), per)
 			}

@@ -55,7 +55,7 @@ func TestChangeQuantiles(t *testing.T) {
 }
 
 func TestRobustDeviations(t *testing.T) {
-	fs := Minimal().ExtractSeries([]float64{1, 1, 1, 1, 101})
+	fs := extract(Minimal(), []float64{1, 1, 1, 1, 101})
 	mad, ok := findFeature(fs, "median_absolute_deviation")
 	if !ok {
 		t.Fatal("median_absolute_deviation missing")
@@ -73,7 +73,7 @@ func TestRobustDeviations(t *testing.T) {
 
 func TestRecurrenceFeatures(t *testing.T) {
 	x := []float64{1, 2, 2, 3, 3, 3}
-	fs := Minimal().ExtractSeries(x)
+	fs := extract(Minimal(), x)
 	if v, _ := findFeature(fs, "ratio_value_number_to_length"); math.Abs(v-0.5) > 1e-12 {
 		t.Fatalf("unique ratio = %v, want 0.5", v)
 	}
@@ -106,7 +106,7 @@ func TestEnergyRatioHalvesDetectsDrift(t *testing.T) {
 	for i := range ramp {
 		ramp[i] = float64(i)
 	}
-	fs := Minimal().ExtractSeries(ramp)
+	fs := extract(Minimal(), ramp)
 	v, ok := findFeature(fs, "energy_ratio_halves")
 	if !ok {
 		t.Fatal("energy_ratio_halves missing")
@@ -119,7 +119,7 @@ func TestEnergyRatioHalvesDetectsDrift(t *testing.T) {
 	for i := range flat {
 		flat[i] = 5 + math.Sin(float64(i))
 	}
-	fs = Minimal().ExtractSeries(flat)
+	fs = extract(Minimal(), flat)
 	v, _ = findFeature(fs, "energy_ratio_halves")
 	if math.Abs(v-0.5) > 0.05 {
 		t.Fatalf("stationary ratio = %v, want ~0.5", v)
@@ -127,7 +127,7 @@ func TestEnergyRatioHalvesDetectsDrift(t *testing.T) {
 }
 
 func TestNumberCrossingMedian(t *testing.T) {
-	fs := Minimal().ExtractSeries([]float64{0, 10, 0, 10, 0})
+	fs := extract(Minimal(), []float64{0, 10, 0, 10, 0})
 	v, _ := findFeature(fs, "number_crossing_median")
 	if v != 4 {
 		t.Fatalf("median crossings = %v", v)
@@ -141,7 +141,7 @@ func TestRangeCountMid(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	fs := Minimal().ExtractSeries(x)
+	fs := extract(Minimal(), x)
 	v, _ := findFeature(fs, "range_count_mid")
 	if math.Abs(v-0.68) > 0.03 {
 		t.Fatalf("within-1σ fraction = %v, want ~0.68", v)

@@ -104,7 +104,7 @@ func TestHaarFeaturesRegistered(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	fs := Default().ExtractSeries(x)
+	fs := extract(Default(), x)
 	sum := 0.0
 	for _, f := range fs {
 		if len(f.Name) >= 17 && f.Name[:17] == "haar_energy_ratio" {

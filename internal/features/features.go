@@ -12,8 +12,8 @@
 // The hot path is destination-passing: ExtractSeriesInto / ExtractTableInto
 // write into caller-owned slices at offsets precomputed by New, drawing all
 // scratch space from a pooled Workspace, so steady-state extraction performs
-// no allocations. ExtractSeries / ExtractTable remain as convenience
-// wrappers that return fresh slices.
+// no allocations. ExtractTable remains as the cold-path convenience form
+// that returns fresh slices.
 package features
 
 import (
@@ -24,12 +24,6 @@ import (
 
 	"prodigy/internal/timeseries"
 )
-
-// Feature is a single named scalar produced by an extractor.
-type Feature struct {
-	Name  string
-	Value float64
-}
 
 // Tier classifies extractors by computational cost so callers can trade
 // catalog breadth for speed.
@@ -137,20 +131,6 @@ func (c *Catalog) ExtractSubsetInto(dst, x []float64, extractors []int, ws *Work
 			}
 		}
 	}
-}
-
-// ExtractSeries runs the catalog over one series, returning the raw features
-// (names not yet namespaced by metric). Non-finite values are replaced by 0.
-func (c *Catalog) ExtractSeries(x []float64) []Feature {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	vals := make([]float64, len(c.names))
-	c.ExtractSeriesInto(vals, x, ws)
-	out := make([]Feature, len(vals))
-	for i, v := range vals {
-		out[i] = Feature{Name: c.names[i], Value: v}
-	}
-	return out
 }
 
 // SeriesFeatureNames returns the per-series feature names the catalog

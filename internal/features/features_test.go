@@ -10,7 +10,25 @@ import (
 	"prodigy/internal/timeseries"
 )
 
-func findFeature(fs []Feature, name string) (float64, bool) {
+// feature pairs a per-series feature name with its value.
+type feature struct {
+	Name  string
+	Value float64
+}
+
+// extract runs c over one series through ExtractSeriesInto on a workspace
+// it owns, returning the named values in catalog order.
+func extract(c *Catalog, x []float64) []feature {
+	vals := make([]float64, c.NumFeaturesPerSeries())
+	c.ExtractSeriesInto(vals, x, NewWorkspace())
+	out := make([]feature, len(vals))
+	for i, v := range vals {
+		out[i] = feature{Name: c.SeriesFeatureNames()[i], Value: v}
+	}
+	return out
+}
+
+func findFeature(fs []feature, name string) (float64, bool) {
 	for _, f := range fs {
 		if f.Name == name {
 			return f.Value, true
@@ -43,7 +61,7 @@ func TestFeatureCountIsSubstantial(t *testing.T) {
 
 func TestDescriptiveValues(t *testing.T) {
 	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	fs := Minimal().ExtractSeries(x)
+	fs := extract(Minimal(), x)
 	cases := map[string]float64{
 		"mean":               5,
 		"standard_deviation": 2,
@@ -68,7 +86,7 @@ func TestDescriptiveValues(t *testing.T) {
 }
 
 func TestMeanChangeTelescopes(t *testing.T) {
-	fs := Minimal().ExtractSeries([]float64{1, 5, 2, 9})
+	fs := extract(Minimal(), []float64{1, 5, 2, 9})
 	got, _ := findFeature(fs, "mean_change")
 	if math.Abs(got-(9.0-1.0)/3.0) > 1e-12 {
 		t.Fatalf("mean_change = %v", got)
@@ -285,7 +303,7 @@ func TestSpectralPeak(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * 4 * float64(i) / float64(n))
 	}
-	fs := Default().ExtractSeries(x)
+	fs := extract(Default(), x)
 	peak, ok := findFeature(fs, "spectral_peak_frequency")
 	if !ok {
 		t.Fatal("spectral_peak_frequency missing")
@@ -370,7 +388,7 @@ func TestQuickFixedShapeAndFinite(t *testing.T) {
 				x[i] = rng.NormFloat64()
 			}
 		}
-		fs := cat.ExtractSeries(x)
+		fs := extract(cat, x)
 		if len(fs) != len(ref) {
 			return false
 		}
@@ -398,8 +416,8 @@ func TestQuickDeterministic(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		a := cat.ExtractSeries(x)
-		b := cat.ExtractSeries(x)
+		a := extract(cat, x)
+		b := extract(cat, x)
 		for i := range a {
 			if a[i] != b[i] {
 				return false

@@ -5,22 +5,8 @@ import (
 	"testing"
 )
 
-func benchmarkMatMul(b *testing.B, n int) {
-	rng := rand.New(rand.NewSource(1))
-	x := Randn(n, n, 1, rng)
-	y := Randn(n, n, 1, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMul32(b *testing.B)  { benchmarkMatMul(b, 32) }
-func BenchmarkMatMul128(b *testing.B) { benchmarkMatMul(b, 128) }
-func BenchmarkMatMul256(b *testing.B) { benchmarkMatMul(b, 256) }
-
-// The Into forms measure the destination-passing kernels with a reused
-// output: the steady-state shape of the inference hot path.
+// The matmul benchmarks measure the destination-passing kernels with a
+// reused output: the steady-state shape of the inference hot path.
 func benchmarkMatMulInto(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(n, n, 1, rng)

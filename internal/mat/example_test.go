@@ -6,10 +6,10 @@ import (
 	"prodigy/internal/mat"
 )
 
-func ExampleMatMul() {
+func ExampleMatMulInto() {
 	a := mat.FromRows([][]float64{{1, 2}, {3, 4}})
 	b := mat.FromRows([][]float64{{5, 6}, {7, 8}})
-	c := mat.MatMul(a, b)
+	c := mat.MatMulInto(&mat.Matrix{}, a, b)
 	fmt.Println(c.Row(0), c.Row(1))
 	// Output: [19 22] [43 50]
 }

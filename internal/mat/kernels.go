@@ -10,8 +10,7 @@ import (
 // This file holds the destination-passing kernels: every operation writes
 // into a caller-supplied dst matrix instead of allocating a fresh one, so a
 // hot loop that owns its buffers (usually via a Workspace) runs without
-// touching the allocator. The allocating functions in matrix.go are thin
-// wrappers over these.
+// touching the allocator.
 //
 // Conventions shared by all Into kernels:
 //
@@ -40,7 +39,7 @@ import (
 // B operand in kBlock-row × jBlock-column panels: one panel is
 // 64×256 float64 = 128 KiB, which sits in L2 while a block of output rows
 // streams through it; the 256-element row segments the innermost loops
-// touch stay within a few L1 lines. MatMulT uses the transposed analogues
+// touch stay within a few L1 lines. MatMulTInto uses the transposed analogues
 // (dotBlock-long dot segments over rowBlock B-rows per panel, same panel
 // footprint).
 const (
@@ -141,7 +140,7 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 
 // MatMulBiasInto computes dst = a×b with bias (length b.Cols) added to
 // every output row — the fused affine kernel behind Dense layers, saving
-// the separate broadcast pass and temporary of MatMul + AddRowVector.
+// the separate broadcast pass and temporary of MatMulInto + AddRowVectorInto.
 func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	if len(bias) != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulBiasInto bias length %d != cols %d", len(bias), b.Cols))

@@ -8,7 +8,8 @@ import (
 
 // naiveMatMul is the reference jik triple loop: no tiling, no zero-skip, no
 // parallelism. The tiled kernels must agree with it to float tolerance, and
-// MatMul/TMatMul (whose k order the tiling preserves exactly) bit-for-bit.
+// MatMulInto/TMatMulInto (whose k order the tiling preserves exactly)
+// bit-for-bit.
 func naiveMatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -142,10 +143,11 @@ func TestMatMulBiasIntoMatchesTwoStep(t *testing.T) {
 	for i := range bias {
 		bias[i] = rng.NormFloat64()
 	}
-	want := MatMul(a, b).AddRowVector(bias)
+	want := MatMulInto(&Matrix{}, a, b)
+	want.AddRowVectorInto(want, bias)
 	got := MatMulBiasInto(&Matrix{}, a, b, bias)
 	if !Equal(want, got, 1e-12) {
-		t.Fatal("MatMulBiasInto disagrees with MatMul+AddRowVector")
+		t.Fatal("MatMulBiasInto disagrees with MatMulInto+AddRowVectorInto")
 	}
 }
 
@@ -155,7 +157,7 @@ func TestTMatMulAccIntoAccumulates(t *testing.T) {
 	dst := Randn(5, 7, 1, rng)
 	base := dst.Clone()
 	TMatMulAccInto(dst, a, b)
-	want := Add(base, TMatMul(a, b))
+	want := AddInto(&Matrix{}, base, TMatMulInto(&Matrix{}, a, b))
 	if !Equal(want, dst, 1e-12) {
 		t.Fatal("TMatMulAccInto did not accumulate aᵀ×b into dst")
 	}
@@ -203,12 +205,12 @@ func TestSelectRowsIntoAliasPanics(t *testing.T) {
 func TestElementwiseIntoAllowsAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a, b := randMat(5, 5, rng), randMat(5, 5, rng)
-	want := Add(a, b)
+	want := AddInto(&Matrix{}, a, b)
 	AddInto(a, a, b) // dst aliases a: explicitly allowed
 	if !Equal(want, a, 0) {
 		t.Fatal("aliased AddInto wrong")
 	}
-	want2 := a.Apply(math.Abs)
+	want2 := a.ApplyInto(&Matrix{}, math.Abs)
 	a.ApplyInto(a, math.Abs)
 	if !Equal(want2, a, 0) {
 		t.Fatal("aliased ApplyInto wrong")
@@ -227,8 +229,13 @@ func TestSelectIntoAndAddRowVectorInto(t *testing.T) {
 		t.Fatal("SelectColsInto disagrees with SelectCols")
 	}
 	v := []float64{1, 2, 3, 4, 5}
-	if !Equal(m.AddRowVector(v), m.AddRowVectorInto(&Matrix{}, v), 0) {
-		t.Fatal("AddRowVectorInto disagrees with AddRowVector")
+	got := m.AddRowVectorInto(&Matrix{}, v)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			if got.At(i, j) != m.At(i, j)+v[j] {
+				t.Fatalf("AddRowVectorInto[%d,%d] = %v, want %v", i, j, got.At(i, j), m.At(i, j)+v[j])
+			}
+		}
 	}
 }
 
@@ -237,7 +244,12 @@ func TestSumRowsAccInto(t *testing.T) {
 	m := randMat(7, 4, rng)
 	acc := []float64{1, 1, 1, 1}
 	m.SumRowsAccInto(acc)
-	want := m.SumRows()
+	want := make([]float64, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			want[j] += v
+		}
+	}
 	for j := range acc {
 		if math.Abs(acc[j]-(want[j]+1)) > 1e-12 {
 			t.Fatalf("col %d: got %v want %v", j, acc[j], want[j]+1)

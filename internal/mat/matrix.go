@@ -3,9 +3,11 @@
 // float64 storage, the handful of BLAS-like kernels a feed-forward network
 // needs, and parallel implementations of the expensive ones.
 //
-// All operations either return fresh values or write into receivers the
-// caller owns; nothing retains the caller's slices except the documented
-// zero-copy constructors.
+// Arithmetic kernels are destination-passing (kernels.go): they write into
+// a matrix the caller owns, usually drawn from a Workspace. The remaining
+// allocating helpers are constructors and cold-path reshapes (Clone, T,
+// SelectRows, VStack). Nothing retains the caller's slices except the
+// documented zero-copy constructors.
 package mat
 
 import (
@@ -149,28 +151,6 @@ func (m *Matrix) String() string {
 // saves on small products.
 const parallelThreshold = 64 * 64 * 64
 
-// MatMul returns a×b. It panics if the inner dimensions disagree. Large
-// products are computed with one goroutine per row-block. This is the
-// allocating convenience wrapper over MatMulInto.
-func MatMul(a, b *Matrix) *Matrix { return MatMulInto(&Matrix{}, a, b) }
-
-// MatMulT returns a×bᵀ without materializing the transpose. Allocating
-// wrapper over MatMulTInto.
-func MatMulT(a, b *Matrix) *Matrix { return MatMulTInto(&Matrix{}, a, b) }
-
-// TMatMul returns aᵀ×b without materializing the transpose. Allocating
-// wrapper over TMatMulInto.
-func TMatMul(a, b *Matrix) *Matrix { return TMatMulInto(&Matrix{}, a, b) }
-
-// Add returns a+b element-wise.
-func Add(a, b *Matrix) *Matrix { return AddInto(&Matrix{}, a, b) }
-
-// Sub returns a−b element-wise.
-func Sub(a, b *Matrix) *Matrix { return SubInto(&Matrix{}, a, b) }
-
-// Mul returns the element-wise (Hadamard) product a∘b.
-func Mul(a, b *Matrix) *Matrix { return MulInto(&Matrix{}, a, b) }
-
 // AddInPlace adds b into a.
 func AddInPlace(a, b *Matrix) {
 	if !a.SameShape(b) {
@@ -189,34 +169,11 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// Apply returns a new matrix with f applied to every element.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	return m.ApplyInto(&Matrix{}, f)
-}
-
 // ApplyInPlace applies f to every element of m.
 func (m *Matrix) ApplyInPlace(f func(float64) float64) {
 	for i, v := range m.Data {
 		m.Data[i] = f(v)
 	}
-}
-
-// AddRowVector adds vector v (length Cols) to every row of m, returning a
-// new matrix. This is the broadcast used for bias addition.
-func (m *Matrix) AddRowVector(v []float64) *Matrix {
-	return m.AddRowVectorInto(&Matrix{}, v)
-}
-
-// SumRows returns the column-wise sum of m: a vector of length Cols.
-func (m *Matrix) SumRows() []float64 {
-	out := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
-		}
-	}
-	return out
 }
 
 // Sum returns the sum of all elements.

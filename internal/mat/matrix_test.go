@@ -103,10 +103,10 @@ func TestTranspose(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := MatMul(a, b)
+	c := MatMulInto(&Matrix{}, a, b)
 	want := FromRows([][]float64{{19, 22}, {43, 50}})
 	if !Equal(c, want, 1e-12) {
-		t.Fatalf("MatMul = %v", c.Data)
+		t.Fatalf("MatMulInto = %v", c.Data)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	MatMulInto(&Matrix{}, New(2, 3), New(2, 3))
 }
 
 func TestMatMulIdentity(t *testing.T) {
@@ -126,10 +126,10 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		eye.Set(i, i, 1)
 	}
-	if !Equal(MatMul(a, eye), a, 1e-12) {
+	if !Equal(MatMulInto(&Matrix{}, a, eye), a, 1e-12) {
 		t.Fatal("A·I != A")
 	}
-	if !Equal(MatMul(eye, a), a, 1e-12) {
+	if !Equal(MatMulInto(&Matrix{}, eye, a), a, 1e-12) {
 		t.Fatal("I·A != A")
 	}
 }
@@ -140,7 +140,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := Randn(80, 70, 1, rng)
 	b := Randn(70, 90, 1, rng)
-	got := MatMul(a, b)
+	got := MatMulInto(&Matrix{}, a, b)
 	want := New(80, 90)
 	for i := 0; i < 80; i++ {
 		for j := 0; j < 90; j++ {
@@ -152,7 +152,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	if !Equal(got, want, 1e-9) {
-		t.Fatal("parallel MatMul disagrees with naive product")
+		t.Fatal("parallel MatMulInto disagrees with naive product")
 	}
 }
 
@@ -160,30 +160,31 @@ func TestMatMulTAndTMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Randn(5, 8, 1, rng)
 	b := Randn(6, 8, 1, rng)
-	if !Equal(MatMulT(a, b), MatMul(a, b.T()), 1e-10) {
-		t.Fatal("MatMulT != A·Bᵀ")
+	if !Equal(MatMulTInto(&Matrix{}, a, b), MatMulInto(&Matrix{}, a, b.T()), 1e-10) {
+		t.Fatal("MatMulTInto != A·Bᵀ")
 	}
 	c := Randn(5, 4, 1, rng)
-	if !Equal(TMatMul(a, c), MatMul(a.T(), c), 1e-10) {
-		t.Fatal("TMatMul != Aᵀ·C")
+	if !Equal(TMatMulInto(&Matrix{}, a, c), MatMulInto(&Matrix{}, a.T(), c), 1e-10) {
+		t.Fatal("TMatMulInto != Aᵀ·C")
 	}
 }
 
 func TestElementwiseOps(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{10, 20}, {30, 40}})
-	if !Equal(Add(a, b), FromRows([][]float64{{11, 22}, {33, 44}}), 0) {
-		t.Fatal("Add wrong")
+	sum := FromRows([][]float64{{11, 22}, {33, 44}})
+	if !Equal(AddInto(&Matrix{}, a, b), sum, 0) {
+		t.Fatal("AddInto wrong")
 	}
-	if !Equal(Sub(b, a), FromRows([][]float64{{9, 18}, {27, 36}}), 0) {
-		t.Fatal("Sub wrong")
+	if !Equal(SubInto(&Matrix{}, b, a), FromRows([][]float64{{9, 18}, {27, 36}}), 0) {
+		t.Fatal("SubInto wrong")
 	}
-	if !Equal(Mul(a, b), FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
-		t.Fatal("Mul wrong")
+	if !Equal(MulInto(&Matrix{}, a, b), FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
+		t.Fatal("MulInto wrong")
 	}
 	c := a.Clone()
 	AddInPlace(c, b)
-	if !Equal(c, Add(a, b), 0) {
+	if !Equal(c, sum, 0) {
 		t.Fatal("AddInPlace wrong")
 	}
 }
@@ -194,12 +195,12 @@ func TestScaleApply(t *testing.T) {
 	if a.At(0, 0) != 2 || a.At(0, 1) != -4 {
 		t.Fatalf("Scale = %v", a.Data)
 	}
-	b := a.Apply(math.Abs)
+	b := a.ApplyInto(&Matrix{}, math.Abs)
 	if b.At(0, 1) != 4 {
-		t.Fatal("Apply wrong")
+		t.Fatal("ApplyInto wrong")
 	}
 	if a.At(0, 1) != -4 {
-		t.Fatal("Apply must not mutate receiver")
+		t.Fatal("ApplyInto into a fresh dst must not mutate receiver")
 	}
 	a.ApplyInPlace(math.Abs)
 	if a.At(0, 1) != 4 {
@@ -209,13 +210,14 @@ func TestScaleApply(t *testing.T) {
 
 func TestAddRowVectorAndSumRows(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	out := m.AddRowVector([]float64{10, 20})
+	out := m.AddRowVectorInto(&Matrix{}, []float64{10, 20})
 	if !Equal(out, FromRows([][]float64{{11, 22}, {13, 24}}), 0) {
-		t.Fatalf("AddRowVector = %v", out.Data)
+		t.Fatalf("AddRowVectorInto = %v", out.Data)
 	}
-	s := m.SumRows()
+	s := make([]float64, 2)
+	m.SumRowsAccInto(s)
 	if s[0] != 4 || s[1] != 6 {
-		t.Fatalf("SumRows = %v", s)
+		t.Fatalf("SumRowsAccInto = %v", s)
 	}
 }
 
@@ -265,14 +267,14 @@ func TestQuickTransposeProduct(t *testing.T) {
 		c := 1 + rng.Intn(6)
 		a := Randn(r, k, 1, rng)
 		b := Randn(k, c, 1, rng)
-		return Equal(MatMul(a, b).T(), MatMul(b.T(), a.T()), 1e-9)
+		return Equal(MatMulInto(&Matrix{}, a, b).T(), MatMulInto(&Matrix{}, b.T(), a.T()), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: matrix addition commutes and Sub(Add(a,b), b) == a.
+// Property: matrix addition commutes and (a+b)−b == a.
 func TestQuickAddSubRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -280,7 +282,8 @@ func TestQuickAddSubRoundTrip(t *testing.T) {
 		c := 1 + rng.Intn(5)
 		a := Randn(r, c, 10, rng)
 		b := Randn(r, c, 10, rng)
-		return Equal(Add(a, b), Add(b, a), 1e-12) && Equal(Sub(Add(a, b), b), a, 1e-9)
+		sum := AddInto(&Matrix{}, a, b)
+		return Equal(sum, AddInto(&Matrix{}, b, a), 1e-12) && Equal(SubInto(&Matrix{}, sum, b), a, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

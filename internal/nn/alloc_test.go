@@ -66,9 +66,11 @@ func TestTrainStepZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestTrainMatchesIntoPath guards the refactor itself: the workspace-based
-// training loop must produce the same weights as an explicitly allocating
-// reference loop run from the same seed.
+// TestTrainMatchesIntoPath guards Train's loop machinery (shuffling,
+// sharding, buffer reuse, BackwardParamsInto): it must produce the same
+// weights as a straight-line reference loop run from the same seed, which
+// gives every minibatch a fresh workspace and runs the plain
+// ForwardInto/BackwardInto pair.
 func TestTrainMatchesIntoPath(t *testing.T) {
 	build := func() *Network {
 		rng := rand.New(rand.NewSource(7))
@@ -101,9 +103,10 @@ func TestTrainMatchesIntoPath(t *testing.T) {
 				end = len(idx)
 			}
 			xb := x.SelectRows(idx[start:end])
-			pred := ref.Forward(xb)
+			ws := mat.NewWorkspace()
+			pred := ref.ForwardInto(xb, ws)
 			_, grad := MSELoss{}.Compute(pred, xb)
-			ref.Backward(grad)
+			ref.BackwardInto(grad, ws)
 			refOpt.Step(ref.Params())
 		}
 	}

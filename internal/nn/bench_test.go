@@ -11,9 +11,11 @@ func BenchmarkForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net, _ := NewMLP([]int{100, 64, 32, 100}, "tanh", "", rng)
 	x := mat.Randn(256, 100, 1, rng)
+	ws := mat.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x)
+		net.ForwardInto(x, ws)
+		ws.Reset()
 	}
 }
 
@@ -23,11 +25,13 @@ func BenchmarkTrainStep(b *testing.B) {
 	x := mat.Randn(64, 100, 1, rng)
 	opt := NewAdam(1e-3)
 	loss := MSELoss{}
+	ws := mat.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pred := net.Forward(x)
-		_, grad := loss.Compute(pred, x)
-		net.Backward(grad)
+		pred := net.ForwardInto(x, ws)
+		_, grad := loss.ComputeInto(pred, x, ws)
+		net.BackwardInto(grad, ws)
+		ws.Reset()
 		opt.Step(net.Params())
 	}
 }

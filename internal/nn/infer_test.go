@@ -9,8 +9,9 @@ import (
 	"prodigy/internal/mat"
 )
 
-// TestInferMatchesForward verifies the stateless inference path computes
-// exactly the same function as the caching training path.
+// TestInferMatchesForward verifies the stateless inference path (InferInto)
+// computes exactly the same function as the caching training path
+// (ForwardInto).
 func TestInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net, err := NewMLP([]int{7, 12, 5, 3}, "tanh", "sigmoid", rng)
@@ -18,29 +19,29 @@ func TestInferMatchesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := mat.Randn(9, 7, 1, rng)
-	want := net.Forward(x)
-	got := net.Infer(x)
+	want := forward(net, x)
+	got := infer(net, x)
 	if !mat.Equal(want, got, 0) {
-		t.Fatal("Infer disagrees with Forward")
+		t.Fatal("InferInto disagrees with ForwardInto")
 	}
 }
 
-// TestInferCachesNothing checks that Infer leaves no activations behind:
-// Backward after Infer alone must still panic, the guard that keeps the
-// training pair honest.
+// TestInferCachesNothing checks that InferInto leaves no activations
+// behind: BackwardInto after InferInto alone must still panic, the guard
+// that keeps the training pair honest.
 func TestInferCachesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	net, err := NewMLP([]int{4, 6, 2}, "relu", "", rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Infer(mat.Randn(3, 4, 1, rng))
+	infer(net, mat.Randn(3, 4, 1, rng))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Backward after Infer should panic: Infer must not populate caches")
+			t.Fatal("BackwardInto after InferInto should panic: InferInto must not populate caches")
 		}
 	}()
-	net.Backward(mat.New(3, 2))
+	backward(net, mat.New(3, 2))
 }
 
 // TestConcurrentInfer hammers one shared network from many goroutines;
@@ -53,7 +54,7 @@ func TestConcurrentInfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := mat.Randn(32, 10, 1, rng)
-	want := net.Infer(x)
+	want := infer(net, x)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -62,11 +63,13 @@ func TestConcurrentInfer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ws := mat.NewWorkspace() // one workspace per goroutine
 			for i := 0; i < 50; i++ {
-				if got := net.Infer(x); !mat.Equal(want, got, 0) {
-					errs <- "concurrent Infer returned corrupted output"
+				if got := net.InferInto(x, ws); !mat.Equal(want, got, 0) {
+					errs <- "concurrent InferInto returned corrupted output"
 					return
 				}
+				ws.Reset()
 			}
 		}()
 	}
@@ -90,7 +93,7 @@ func TestTrainEpochLossWeighsPartialBatch(t *testing.T) {
 	}
 	x := mat.Randn(5, 3, 1, rng) // batch size 2 -> batches of 2, 2, 1
 	y := mat.Randn(5, 3, 1, rng)
-	want, _ := MSELoss{}.Compute(net.Infer(x), y)
+	want, _ := MSELoss{}.Compute(infer(net, x), y)
 
 	got, err := Train(net, x, y, MSELoss{}, NewSGD(0), TrainConfig{Epochs: 3, BatchSize: 2}, rng)
 	if err != nil {

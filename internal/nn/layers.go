@@ -3,11 +3,14 @@
 // exactly what Prodigy's models need — small multilayer perceptrons over
 // feature vectors — with batch-parallel matrix kernels from internal/mat.
 //
-// Layers cache activations between Forward and Backward, so a single layer
-// instance must not be shared across concurrent training loops. Inference
-// through Layer.Apply and Network.Infer is stateless: it reads weights but
-// never writes layer fields, so any number of goroutines may score through
-// one shared network as long as no goroutine is training it concurrently.
+// Every pass is destination-passing: outputs are drawn from a caller-owned
+// mat.Workspace. Layers cache activations between ForwardInto and
+// BackwardInto, so a single layer instance must not be shared across
+// concurrent training loops. Inference through Layer.ApplyInto and
+// Network.InferInto is stateless: it reads weights but never writes layer
+// fields, so any number of goroutines, each with its own workspace, may
+// score through one shared network as long as no goroutine is training it
+// concurrently.
 package nn
 
 import (
@@ -32,24 +35,20 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// Layer is a differentiable module. Forward consumes a batch (rows =
-// samples) and Backward consumes the gradient of the loss with respect to
-// the layer's output, returning the gradient with respect to its input and
-// accumulating parameter gradients. Apply computes the same function as
-// Forward without caching anything on the layer: it must not write any
-// layer field, so it is safe to call from many goroutines at once.
+// Layer is a differentiable module. ForwardInto consumes a batch (rows =
+// samples) and BackwardInto consumes the gradient of the loss with respect
+// to the layer's output, returning the gradient with respect to its input
+// and accumulating parameter gradients. ApplyInto computes the same
+// function as ForwardInto without caching anything on the layer: it must
+// not write any layer field, so it is safe to call from many goroutines at
+// once.
 //
-// The *Into variants are the allocation-free forms: outputs are drawn from
-// the caller-owned workspace ws, so steady-state loops reuse buffers
-// instead of growing the heap. Returned matrices are valid until the
-// caller resets or releases ws — they are workspace property, never to be
-// retained past that (DESIGN.md §10). ApplyInto carries the same
-// statelessness guarantee as Apply; ForwardInto/BackwardInto cache
-// activations like Forward/Backward and stay single-goroutine.
+// Outputs are drawn from the caller-owned workspace ws, so steady-state
+// loops reuse buffers instead of growing the heap. Returned matrices are
+// valid until the caller resets or releases ws — they are workspace
+// property, never to be retained past that (DESIGN.md §10).
+// ForwardInto/BackwardInto cache activations and stay single-goroutine.
 type Layer interface {
-	Forward(x *mat.Matrix) *mat.Matrix
-	Backward(gradOut *mat.Matrix) *mat.Matrix
-	Apply(x *mat.Matrix) *mat.Matrix
 	ApplyInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix
 	ForwardInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix
 	BackwardInto(gradOut *mat.Matrix, ws *mat.Workspace) *mat.Matrix
@@ -59,7 +58,7 @@ type Layer interface {
 // Dense is a fully connected layer: out = x·W + b.
 type Dense struct {
 	W, B  *Param
-	input *mat.Matrix // cached for Backward
+	input *mat.Matrix // cached for BackwardInto
 }
 
 // NewDense creates a Dense layer with Glorot-uniform weights and zero
@@ -82,41 +81,21 @@ func (d *Dense) In() int { return d.W.Value.Rows }
 // Out returns the output width of the layer.
 func (d *Dense) Out() int { return d.W.Value.Cols }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
-	d.input = x
-	return d.Apply(x)
-}
-
-// ForwardInto implements Layer: Forward with the output drawn from ws.
+// ForwardInto implements Layer: the affine map, caching x for
+// BackwardInto.
 func (d *Dense) ForwardInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	d.input = x
 	return d.ApplyInto(x, ws)
 }
 
-// Apply implements Layer: the same affine map as Forward with no caching.
-// Allocating wrapper over ApplyInto; hot paths call ApplyInto directly.
-func (d *Dense) Apply(x *mat.Matrix) *mat.Matrix {
-	ws := mat.GetWorkspace()
-	defer mat.Release(ws)
-	//lint:ignore hotalloc compat wrapper materializes a caller-owned copy of the workspace result
-	return d.ApplyInto(x, ws).Clone()
-}
-
 // ApplyInto implements Layer: out = x·W + b in one fused kernel, written
-// into a workspace buffer. Stateless like Apply.
+// into a workspace buffer, with no caching.
 func (d *Dense) ApplyInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	out := ws.Get(x.Rows, d.Out())
 	return mat.MatMulBiasInto(out, x, d.W.Value, d.B.Value.Data)
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
-	d.backwardParams(gradOut)
-	return mat.MatMulT(gradOut, d.W.Value)
-}
-
-// BackwardInto implements Layer: Backward with dx drawn from ws and no
+// BackwardInto implements Layer: dx = gradOut·Wᵀ drawn from ws, with no
 // temporaries — parameter gradients accumulate in place.
 func (d *Dense) BackwardInto(gradOut *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	d.backwardParams(gradOut)
@@ -146,7 +125,7 @@ func (d *Dense) BackwardInputInto(gradOut *mat.Matrix, ws *mat.Workspace) *mat.M
 // gradOut directly into the parameter gradients.
 func (d *Dense) backwardParams(gradOut *mat.Matrix) {
 	if d.input == nil {
-		panic("nn: Dense.Backward before Forward")
+		panic("nn: Dense.BackwardInto before ForwardInto")
 	}
 	mat.TMatMulAccInto(d.W.Grad, d.input, gradOut)
 	gradOut.SumRowsAccInto(d.B.Grad.Data)
@@ -177,27 +156,16 @@ type Activation struct {
 	output *mat.Matrix
 }
 
-// Forward implements Layer.
-func (a *Activation) Forward(x *mat.Matrix) *mat.Matrix {
-	a.output = x.Apply(a.F)
-	return a.output
-}
-
-// ForwardInto implements Layer: Forward with the output drawn from ws. The
-// cached activation is workspace property, so Backward must run before the
-// caller resets ws.
+// ForwardInto implements Layer: the element-wise map, caching its output.
+// The cached activation is workspace property, so BackwardInto must run
+// before the caller resets ws.
 func (a *Activation) ForwardInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	a.output = a.ApplyInto(x, ws)
 	return a.output
 }
 
-// Apply implements Layer: the element-wise map with no caching.
-//
-//lint:ignore hotalloc compat wrapper returns a fresh caller-owned matrix
-func (a *Activation) Apply(x *mat.Matrix) *mat.Matrix { return x.Apply(a.F) }
-
 // ApplyInto implements Layer: the element-wise map into a workspace
-// buffer. Stateless like Apply.
+// buffer, with no caching.
 func (a *Activation) ApplyInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	out := ws.Get(x.Rows, x.Cols)
 	if a.bulk != nil {
@@ -207,20 +175,13 @@ func (a *Activation) ApplyInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	return x.ApplyInto(out, a.F)
 }
 
-// Backward implements Layer.
-func (a *Activation) Backward(gradOut *mat.Matrix) *mat.Matrix {
-	return a.backwardTo(mat.New(gradOut.Rows, gradOut.Cols), gradOut)
-}
-
-// BackwardInto implements Layer: Backward with the gradient drawn from ws.
+// BackwardInto implements Layer: gradOut⊙F′ with the gradient drawn from
+// ws.
 func (a *Activation) BackwardInto(gradOut *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
-	return a.backwardTo(ws.Get(gradOut.Rows, gradOut.Cols), gradOut)
-}
-
-func (a *Activation) backwardTo(out, gradOut *mat.Matrix) *mat.Matrix {
 	if a.output == nil {
-		panic("nn: Activation.Backward before Forward")
+		panic("nn: Activation.BackwardInto before ForwardInto")
 	}
+	out := ws.Get(gradOut.Rows, gradOut.Cols)
 	if a.dbulk != nil {
 		a.dbulk(out.Data, gradOut.Data, a.output.Data)
 		return out

@@ -39,20 +39,12 @@ func NewMLP(widths []int, hiddenAct, outActivation string, rng *rand.Rand) (*Net
 	return n, nil
 }
 
-// Forward runs the batch x through every layer, caching activations for
-// Backward. Use only from the (single-goroutine) training loop; concurrent
-// scoring goes through Infer.
-func (n *Network) Forward(x *mat.Matrix) *mat.Matrix {
-	for _, l := range n.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// ForwardInto is Forward with all activations drawn from the caller-owned
+// ForwardInto runs the batch x through every layer, caching activations
+// for BackwardInto, with all activations drawn from the caller-owned
 // workspace: a steady-state training step allocates nothing once ws is
-// warm. Cached activations are workspace property — run Backward(Into)
-// before resetting ws.
+// warm. Cached activations are workspace property — run BackwardInto
+// before resetting ws. Use only from the (single-goroutine) training loop;
+// concurrent scoring goes through InferInto.
 func (n *Network) ForwardInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	for _, l := range n.Layers {
 		x = l.ForwardInto(x, ws)
@@ -60,24 +52,13 @@ func (n *Network) ForwardInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	return x
 }
 
-// Infer runs the batch x through every layer without touching layer state:
-// activations thread through locals, nothing is cached, and no Backward is
-// possible afterwards. Safe for any number of concurrent callers sharing
-// this network, provided no goroutine is training it at the same time.
-// Allocating wrapper over InferInto; steady-state loops call InferInto
-// with a workspace they own.
-func (n *Network) Infer(x *mat.Matrix) *mat.Matrix {
-	ws := mat.GetWorkspace()
-	defer mat.Release(ws)
-	//lint:ignore hotalloc compat wrapper materializes a caller-owned copy of the workspace result
-	return n.InferInto(x, ws).Clone()
-}
-
-// InferInto is the zero-allocation form of Infer: every activation comes
-// from ws, intermediate buffers are recycled layer by layer, and the
-// returned matrix belongs to ws (valid until Reset/Release). It shares
-// Infer's statelessness contract, with each concurrent caller holding its
-// own workspace.
+// InferInto runs the batch x through every layer without touching layer
+// state: activations thread through locals, nothing is cached, and no
+// BackwardInto is possible afterwards. Every activation comes from ws,
+// intermediate buffers are recycled layer by layer, and the returned
+// matrix belongs to ws (valid until Reset/Release). Safe for any number of
+// concurrent callers sharing this network, each holding its own workspace,
+// provided no goroutine is training it at the same time.
 func (n *Network) InferInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	cur := x
 	for _, l := range n.Layers {
@@ -90,19 +71,10 @@ func (n *Network) InferInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	return cur
 }
 
-// Backward propagates the loss gradient through every layer in reverse,
-// accumulating parameter gradients, and returns the gradient with respect
-// to the network input.
-func (n *Network) Backward(grad *mat.Matrix) *mat.Matrix {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// BackwardInto is Backward with all intermediate gradients drawn from ws,
-// recycled layer by layer. Parameter gradients accumulate in place as
-// always; only the flowing activation gradients touch the workspace.
+// BackwardInto propagates the loss gradient through every layer in
+// reverse, accumulating parameter gradients in place, and returns the
+// gradient with respect to the network input. Intermediate gradients are
+// drawn from ws and recycled layer by layer.
 func (n *Network) BackwardInto(grad *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	first := grad
 	for i := len(n.Layers) - 1; i >= 0; i-- {
@@ -268,9 +240,17 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	n.Layers = nil
-	for _, ls := range spec.Layers {
+	width := 0 // output width of the last dense layer; activations keep it
+	for i, ls := range spec.Layers {
 		switch ls.Kind {
 		case "dense":
+			if ls.In <= 0 || ls.Out <= 0 {
+				return fmt.Errorf("nn: dense layer %d has shape %dx%d", i, ls.In, ls.Out)
+			}
+			if width != 0 && ls.In != width {
+				return fmt.Errorf("nn: dense layer %d takes %d inputs, previous dense layer gives %d", i, ls.In, width)
+			}
+			width = ls.Out
 			if len(ls.W) != ls.In*ls.Out {
 				return fmt.Errorf("nn: dense layer has %d weights for %dx%d", len(ls.W), ls.In, ls.Out)
 			}

@@ -10,14 +10,22 @@ import (
 	"prodigy/internal/mat"
 )
 
+// Test shorthands over the workspace API. Each call draws its buffers from
+// a fresh workspace that is never reset, so the returned matrices — and the
+// activations ForwardInto caches for a following backward — stay valid for
+// the rest of the test.
+func forward(n *Network, x *mat.Matrix) *mat.Matrix  { return n.ForwardInto(x, mat.NewWorkspace()) }
+func backward(n *Network, g *mat.Matrix) *mat.Matrix { return n.BackwardInto(g, mat.NewWorkspace()) }
+func infer(n *Network, x *mat.Matrix) *mat.Matrix    { return n.InferInto(x, mat.NewWorkspace()) }
+
 // numericGradient estimates dLoss/dParam[i] by central differences.
 func numericGradient(n *Network, x, y *mat.Matrix, loss Loss, p *Param, i int) float64 {
 	const h = 1e-5
 	orig := p.Value.Data[i]
 	p.Value.Data[i] = orig + h
-	lp, _ := loss.Compute(n.Forward(x), y)
+	lp, _ := loss.Compute(forward(n, x), y)
 	p.Value.Data[i] = orig - h
-	lm, _ := loss.Compute(n.Forward(x), y)
+	lm, _ := loss.Compute(forward(n, x), y)
 	p.Value.Data[i] = orig
 	return (lp - lm) / (2 * h)
 }
@@ -36,9 +44,9 @@ func TestGradientCheck(t *testing.T) {
 			y := mat.Randn(5, 3, 1, rng)
 
 			net.ZeroGrads()
-			pred := net.Forward(x)
+			pred := forward(net, x)
 			_, grad := loss.Compute(pred, y)
-			net.Backward(grad)
+			backward(net, grad)
 
 			for _, p := range net.Params() {
 				for _, i := range []int{0, len(p.Value.Data) / 2, len(p.Value.Data) - 1} {
@@ -71,8 +79,8 @@ func TestBCEGradientCheck(t *testing.T) {
 	}
 	loss := BCELoss{}
 	net.ZeroGrads()
-	_, grad := loss.Compute(net.Forward(x), y)
-	net.Backward(grad)
+	_, grad := loss.Compute(forward(net, x), y)
+	backward(net, grad)
 	for _, p := range net.Params() {
 		i := len(p.Value.Data) / 2
 		want := numericGradient(net, x, y, loss, p, i)
@@ -95,8 +103,8 @@ func TestTrainLearnsIdentity(t *testing.T) {
 	// can represent it exactly.
 	z := mat.Randn(64, 3, 0.5, rng)
 	emb := mat.Randn(3, 8, 1, rng)
-	x := mat.MatMul(z, emb)
-	initial, _ := MSELoss{}.Compute(net.Forward(x), x)
+	x := mat.MatMulInto(&mat.Matrix{}, z, emb)
+	initial, _ := MSELoss{}.Compute(forward(net, x), x)
 	final, err := Train(net, x, x, MSELoss{}, NewAdam(0.01),
 		TrainConfig{Epochs: 300, BatchSize: 16}, rng)
 	if err != nil {
@@ -132,8 +140,8 @@ func TestSGDMomentumAndAdamReduceLoss(t *testing.T) {
 		x := mat.Randn(32, 4, 1, rng)
 		// Learnable linear target.
 		w := mat.Randn(4, 2, 1, rng)
-		y := mat.MatMul(x, w)
-		first, _ := MSELoss{}.Compute(net.Forward(x), y)
+		y := mat.MatMulInto(&mat.Matrix{}, x, w)
+		first, _ := MSELoss{}.Compute(forward(net, x), y)
 		last, err := Train(net, x, y, MSELoss{}, opt, TrainConfig{Epochs: 200, BatchSize: 8}, rng)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +169,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net, _ := NewMLP([]int{5, 3, 5}, "sigmoid", "tanh", rng)
 	x := mat.Randn(4, 5, 1, rng)
-	want := net.Forward(x)
+	want := forward(net, x)
 
 	blob, err := json.Marshal(net)
 	if err != nil {
@@ -171,7 +179,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, restored); err != nil {
 		t.Fatal(err)
 	}
-	got := restored.Forward(x)
+	got := forward(restored, x)
 	if !mat.Equal(got, want, 1e-12) {
 		t.Fatal("restored network gives different outputs")
 	}
@@ -180,12 +188,22 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsCorrupt covers broken layers and, from the last
+// four blobs on, layers that are each consistent (len(w) = in·out,
+// len(b) = out) but whose shapes are degenerate or do not chain: those
+// must fail at load rather than panic inside the first InferInto.
 func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	bad := []string{
 		`{"layers":[{"kind":"dense","in":2,"out":2,"w":[1],"b":[0,0]}]}`,
 		`{"layers":[{"kind":"dense","in":1,"out":2,"w":[1,2],"b":[0]}]}`,
 		`{"layers":[{"kind":"activation","name":"nosuch"}]}`,
 		`{"layers":[{"kind":"mystery"}]}`,
+		`{"layers":[{"kind":"dense","in":2,"out":3,"w":[1,2,3,4,5,6],"b":[0,0,0]},
+			{"kind":"activation","name":"tanh"},
+			{"kind":"dense","in":4,"out":1,"w":[1,2,3,4],"b":[0]}]}`,
+		`{"layers":[{"kind":"dense","in":0,"out":2,"b":[0,0]}]}`,
+		`{"layers":[{"kind":"dense","in":2,"out":0}]}`,
+		`{"layers":[{"kind":"dense","in":-1,"out":0}]}`,
 	}
 	for _, blob := range bad {
 		n := &Network{}
@@ -204,7 +222,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone shares weight storage")
 	}
 	x := mat.Randn(2, 3, 1, rng)
-	clone.Forward(x) // must not panic
+	forward(clone, x) // must not panic
 }
 
 func TestRowMAEAndRowMSE(t *testing.T) {
@@ -269,7 +287,7 @@ func TestQuickForwardFinite(t *testing.T) {
 			return false
 		}
 		x := mat.Randn(4, 3, 10, rng)
-		out := net.Forward(x)
+		out := forward(net, x)
 		for _, v := range out.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
@@ -290,14 +308,15 @@ func TestQuickBackwardAccumulates(t *testing.T) {
 		d := NewDense(3, 4, rng)
 		x := mat.Randn(5, 3, 1, rng)
 		g := mat.Randn(5, 4, 1, rng)
-		d.Forward(x)
-		dx := d.Backward(g)
+		ws := mat.NewWorkspace()
+		d.ForwardInto(x, ws)
+		dx := d.BackwardInto(g, ws)
 		if dx.Rows != 5 || dx.Cols != 3 {
 			return false
 		}
 		once := d.W.Grad.Clone()
-		d.Forward(x)
-		d.Backward(g)
+		d.ForwardInto(x, ws)
+		d.BackwardInto(g, ws)
 		twice := d.W.Grad
 		return mat.Equal(twice, once.Scale(2), 1e-9)
 	}

@@ -171,21 +171,21 @@ func TestTrainReplicaSharesValues(t *testing.T) {
 		}
 	}
 	x := mat.Randn(4, 3, 1, rng)
-	want := net.Infer(x)
-	got := rep.Infer(x)
+	want := infer(net, x)
+	got := infer(rep, x)
 	if !mat.Equal(got, want, 0) {
 		t.Fatal("replica forward differs from root")
 	}
 	// A weight update through the root must flow into the replica's output.
 	rootPs[0].Value.Data[0] += 0.5
-	after := rep.Infer(x)
+	after := infer(rep, x)
 	if mat.Equal(after, want, 0) {
 		t.Fatal("replica did not observe the root weight update")
 	}
 }
 
 // TestBackwardParamsIntoMatchesBackward checks the dx-skipping backward
-// against the full legacy pass: parameter gradients must agree bitwise,
+// against the full BackwardInto pass: parameter gradients must agree bitwise,
 // since BackwardParamsInto performs the same products in the same order
 // and only skips the unused input-gradient matmul of the first dense
 // layer.
@@ -199,8 +199,8 @@ func TestBackwardParamsIntoMatchesBackward(t *testing.T) {
 	y := mat.Randn(9, 3, 1, rng)
 
 	net.ZeroGrads()
-	_, grad := MSELoss{}.Compute(net.Forward(x), y)
-	net.Backward(grad)
+	_, grad := MSELoss{}.Compute(forward(net, x), y)
+	backward(net, grad)
 	var want [][]float64
 	for _, p := range net.Params() {
 		want = append(want, append([]float64(nil), p.Grad.Data...))
@@ -214,7 +214,7 @@ func TestBackwardParamsIntoMatchesBackward(t *testing.T) {
 	for i, p := range net.Params() {
 		for j := range want[i] {
 			if p.Grad.Data[j] != want[i][j] {
-				t.Fatalf("param %d grad %d: Into %v vs legacy %v", i, j, p.Grad.Data[j], want[i][j])
+				t.Fatalf("param %d grad %d: BackwardParamsInto %v vs BackwardInto %v", i, j, p.Grad.Data[j], want[i][j])
 			}
 		}
 	}
@@ -233,15 +233,15 @@ func TestBackwardInputIntoMatchesBackward(t *testing.T) {
 	g := mat.Randn(7, 4, 1, rng)
 
 	net.ZeroGrads()
-	net.Forward(x)
-	want := net.Backward(g.Clone())
+	forward(net, x)
+	want := backward(net, g.Clone())
 
 	ws := mat.NewWorkspace()
 	net.ForwardInto(x, ws)
 	gin := mat.CopyInto(ws.Get(g.Rows, g.Cols), g)
 	got := net.BackwardInputInto(gin, ws)
 	if !mat.Equal(got, want, 0) {
-		t.Fatal("BackwardInputInto differs from legacy Backward input gradient")
+		t.Fatal("BackwardInputInto differs from the BackwardInto input gradient")
 	}
 }
 

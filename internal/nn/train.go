@@ -159,7 +159,3 @@ func Train(n *Network, x, y *mat.Matrix, loss Loss, opt Optimizer, cfg TrainConf
 	}
 	return finalLoss, nil
 }
-
-// Predict runs a stateless forward pass; it is a convenience alias that
-// makes call sites read as inference and is safe for concurrent use.
-func Predict(n *Network, x *mat.Matrix) *mat.Matrix { return n.Infer(x) }

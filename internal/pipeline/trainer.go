@@ -88,7 +88,7 @@ func (d *AnomalyDetector) recordBatch(path string, start time.Time, scores []flo
 // Scores must be stateless — safe for any number of concurrent callers on
 // one shared model — while FitHealthy is single-goroutine and must not run
 // concurrently with Scores. Both VAE and USAD satisfy this via nn.Network's
-// cache-free Infer path.
+// cache-free InferInto path.
 type Model interface {
 	FitHealthy(x *mat.Matrix) error
 	Scores(x *mat.Matrix) []float64

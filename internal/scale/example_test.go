@@ -15,7 +15,7 @@ func ExampleMinMax() {
 
 	// Unseen data extrapolates beyond [0, 1] — how anomalies stay visible.
 	test := mat.FromRows([][]float64{{20, 150}})
-	fmt.Println(s.Transform(test).Row(0))
+	fmt.Println(s.TransformInto(&mat.Matrix{}, test).Row(0))
 	// Output:
 	// [0 0] [1 1]
 	// [2 0.5]

@@ -17,11 +17,10 @@ import (
 type Scaler interface {
 	// Fit learns the per-column statistics from x.
 	Fit(x *mat.Matrix)
-	// Transform returns a scaled copy of x. It panics if called before Fit
-	// or if x has a different number of columns than the fitted data.
-	Transform(x *mat.Matrix) *mat.Matrix
-	// TransformInto is Transform writing into dst (reshaped as needed) —
-	// the allocation-free form for scoring hot paths. dst may alias x.
+	// TransformInto writes the scaled x into dst (reshaped as needed) and
+	// returns dst; dst may alias x. Pass &mat.Matrix{} for a fresh copy.
+	// It panics if called before Fit or if x has a different number of
+	// columns than the fitted data.
 	TransformInto(dst, x *mat.Matrix) *mat.Matrix
 	// Kind returns the scaler's registered name ("minmax", "standard", "robust").
 	Kind() string
@@ -30,7 +29,7 @@ type Scaler interface {
 // FitTransform fits s on x and returns the transformed copy.
 func FitTransform(s Scaler, x *mat.Matrix) *mat.Matrix {
 	s.Fit(x)
-	return s.Transform(x)
+	return s.TransformInto(&mat.Matrix{}, x)
 }
 
 // MinMax scales each column to [0, 1] over the fitted range. Constant
@@ -59,14 +58,9 @@ func (s *MinMax) Fit(x *mat.Matrix) {
 	}
 }
 
-// Transform implements Scaler. Values outside the fitted range extrapolate
-// beyond [0, 1]; anomaly detectors rely on that to see out-of-distribution
-// magnitudes.
-func (s *MinMax) Transform(x *mat.Matrix) *mat.Matrix {
-	return s.TransformInto(&mat.Matrix{}, x)
-}
-
-// TransformInto implements Scaler.
+// TransformInto implements Scaler. Values outside the fitted range
+// extrapolate beyond [0, 1]; anomaly detectors rely on that to see
+// out-of-distribution magnitudes.
 func (s *MinMax) TransformInto(dst, x *mat.Matrix) *mat.Matrix {
 	s.check(x)
 	out := mat.CopyInto(dst, x)
@@ -88,7 +82,7 @@ func (s *MinMax) Kind() string { return "minmax" }
 
 func (s *MinMax) check(x *mat.Matrix) {
 	if s.Mins == nil {
-		panic("scale: Transform before Fit")
+		panic("scale: TransformInto before Fit")
 	}
 	if x.Cols != len(s.Mins) {
 		panic(fmt.Sprintf("scale: fitted on %d columns, got %d", len(s.Mins), x.Cols))
@@ -120,15 +114,10 @@ func (s *Standard) Fit(x *mat.Matrix) {
 	}
 }
 
-// Transform implements Scaler.
-func (s *Standard) Transform(x *mat.Matrix) *mat.Matrix {
-	return s.TransformInto(&mat.Matrix{}, x)
-}
-
 // TransformInto implements Scaler.
 func (s *Standard) TransformInto(dst, x *mat.Matrix) *mat.Matrix {
 	if s.Means == nil {
-		panic("scale: Transform before Fit")
+		panic("scale: TransformInto before Fit")
 	}
 	if x.Cols != len(s.Means) {
 		panic(fmt.Sprintf("scale: fitted on %d columns, got %d", len(s.Means), x.Cols))
@@ -179,15 +168,10 @@ func (s *Robust) Fit(x *mat.Matrix) {
 	}
 }
 
-// Transform implements Scaler.
-func (s *Robust) Transform(x *mat.Matrix) *mat.Matrix {
-	return s.TransformInto(&mat.Matrix{}, x)
-}
-
 // TransformInto implements Scaler.
 func (s *Robust) TransformInto(dst, x *mat.Matrix) *mat.Matrix {
 	if s.Medians == nil {
-		panic("scale: Transform before Fit")
+		panic("scale: TransformInto before Fit")
 	}
 	if x.Cols != len(s.Medians) {
 		panic(fmt.Sprintf("scale: fitted on %d columns, got %d", len(s.Medians), x.Cols))

@@ -19,7 +19,7 @@ func TestMinMaxBasic(t *testing.T) {
 	}
 	// Original must be untouched.
 	if x.At(0, 1) != 10 {
-		t.Fatal("Transform mutated input")
+		t.Fatal("FitTransform mutated input")
 	}
 }
 
@@ -36,7 +36,7 @@ func TestMinMaxExtrapolatesOutOfRange(t *testing.T) {
 	s := NewMinMax()
 	s.Fit(train)
 	test := mat.FromRows([][]float64{{20}, {-10}})
-	out := s.Transform(test)
+	out := s.TransformInto(&mat.Matrix{}, test)
 	if out.At(0, 0) != 2 || out.At(1, 0) != -1 {
 		t.Fatalf("extrapolation = %v", out.Data)
 	}
@@ -75,7 +75,7 @@ func TestTransformBeforeFitPanics(t *testing.T) {
 					t.Fatalf("%s: expected panic before Fit", s.Kind())
 				}
 			}()
-			s.Transform(mat.New(1, 1))
+			s.TransformInto(&mat.Matrix{}, mat.New(1, 1))
 		}()
 	}
 }
@@ -88,7 +88,7 @@ func TestTransformWidthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic for width mismatch")
 		}
 	}()
-	s.Transform(mat.New(2, 4))
+	s.TransformInto(&mat.Matrix{}, mat.New(2, 4))
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {
@@ -112,7 +112,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 			t.Fatalf("kind = %q", restored.Kind())
 		}
 		test := mat.Randn(7, 5, 3, rng)
-		if !mat.Equal(s.Transform(test), restored.Transform(test), 0) {
+		if !mat.Equal(s.TransformInto(&mat.Matrix{}, test), restored.TransformInto(&mat.Matrix{}, test), 0) {
 			t.Fatalf("%s: restored scaler differs", kind)
 		}
 	}

@@ -134,33 +134,11 @@ func New(cfg Config) (*VAE, error) {
 // logvarBound keeps exp(logvar) in a numerically safe range.
 const logvarBound = 10
 
-// Encode returns the posterior mean and log-variance for each row of x.
-// It is a stateless inference pass: safe for concurrent callers sharing
-// this VAE as long as no goroutine is running Fit on it.
-func (v *VAE) Encode(x *mat.Matrix) (mu, logvar *mat.Matrix) {
-	h := v.encoder.Infer(x)
-	mu = v.muHead.Apply(h)
-	logvar = v.logvarHead.Apply(h)
-	logvar.ApplyInPlace(func(lv float64) float64 { return mat.Clamp(lv, -logvarBound, logvarBound) })
-	return mu, logvar
-}
-
-// Decode maps latent vectors back to input space. Stateless, like Encode.
-func (v *VAE) Decode(z *mat.Matrix) *mat.Matrix { return v.decoder.Infer(z) }
-
-// Reconstruct returns the deterministic reconstruction of x through the
-// posterior mean (no sampling), as used for anomaly scoring. Allocating
-// wrapper over reconstructInto.
-func (v *VAE) Reconstruct(x *mat.Matrix) *mat.Matrix {
-	ws := mat.GetWorkspace()
-	defer mat.Release(ws)
-	//lint:ignore hotalloc compat wrapper materializes a caller-owned copy of the workspace result
-	return v.reconstructInto(x, ws).Clone()
-}
-
-// reconstructInto is the workspace form of Reconstruct. It skips the
-// logvar head entirely — the deterministic reconstruction only consumes
-// the posterior mean, so scoring pays for one head instead of two.
+// reconstructInto returns the deterministic reconstruction of x through
+// the posterior mean (no sampling), as used for anomaly scoring, drawn
+// from ws. It skips the logvar head entirely — the deterministic
+// reconstruction only consumes the posterior mean, so scoring pays for one
+// head instead of two.
 func (v *VAE) reconstructInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 	h := v.encoder.InferInto(x, ws)
 	mu := v.muHead.ApplyInto(h, ws)
@@ -173,20 +151,13 @@ func (v *VAE) reconstructInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 
 // Scores returns the per-sample reconstruction MAE of x (paper §3.3: "we
 // measure the reconstruction error using mean absolute error for each
-// sample"). Like Encode/Decode it mutates no model state, so concurrent
-// scoring through one shared VAE is race-free: the matrix buffers come
-// from a pooled workspace held only for the duration of the call.
+// sample"). It mutates no model state, so concurrent scoring through one
+// shared VAE is race-free: the matrix buffers come from a pooled
+// workspace held only for the duration of the call.
 func (v *VAE) Scores(x *mat.Matrix) []float64 {
 	ws := mat.GetWorkspace()
 	defer mat.Release(ws)
 	return nn.RowMAE(v.reconstructInto(x, ws), x)
-}
-
-// Sample draws n new samples from the prior and decodes them — the
-// generative direction of the model.
-func (v *VAE) Sample(n int, rng *rand.Rand) *mat.Matrix {
-	z := mat.Randn(n, v.Cfg.LatentDim, 1, rng)
-	return v.Decode(z)
 }
 
 // TrainStats summarizes one training run.
@@ -452,5 +423,37 @@ func (v *VAE) UnmarshalJSON(data []byte) error {
 	if v.logvarHead, ok = lvNet.Layers[0].(*nn.Dense); !ok {
 		return errors.New("vae: logvar head is not a dense layer")
 	}
+	return v.checkWidths()
+}
+
+// checkWidths verifies that the restored sub-networks chain into each
+// other and match Cfg, so a malformed artifact fails at load instead of
+// panicking on its first score.
+func (v *VAE) checkWidths() error {
+	encIn, encOut := denseEnds(v.encoder)
+	decIn, decOut := denseEnds(v.decoder)
+	mu, lv := v.muHead, v.logvarHead
+	in, latent := v.Cfg.InputDim, v.Cfg.LatentDim
+	if encIn != in || mu.In() != encOut || lv.In() != encOut ||
+		mu.Out() != latent || lv.Out() != latent || decIn != latent || decOut != in {
+		return fmt.Errorf("vae: widths do not chain for input %d, latent %d: encoder %d→%d, heads %d→%d and %d→%d, decoder %d→%d",
+			in, latent, encIn, encOut, mu.In(), mu.Out(), lv.In(), lv.Out(), decIn, decOut)
+	}
 	return nil
+}
+
+// denseEnds returns the input width of n's first dense layer and the
+// output width of its last, or zeros when n has none.
+// nn.Network.UnmarshalJSON has already checked that the dense layers in
+// between chain.
+func denseEnds(n *nn.Network) (in, out int) {
+	for _, l := range n.Layers {
+		if d, ok := l.(*nn.Dense); ok {
+			if in == 0 {
+				in = d.In()
+			}
+			out = d.Out()
+		}
+	}
+	return in, out
 }

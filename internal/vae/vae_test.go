@@ -140,16 +140,66 @@ func TestEncodeDecodeShapes(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	x := mat.Randn(5, 10, 1, rng)
-	mu, logvar := v.Encode(x)
+	ws := mat.NewWorkspace()
+	h := v.encoder.InferInto(x, ws)
+	mu, logvar := v.muHead.ApplyInto(h, ws), v.logvarHead.ApplyInto(h, ws)
 	if mu.Rows != 5 || mu.Cols != 4 || logvar.Rows != 5 || logvar.Cols != 4 {
 		t.Fatalf("latent shapes %dx%d %dx%d", mu.Rows, mu.Cols, logvar.Rows, logvar.Cols)
 	}
-	xr := v.Decode(mu)
-	if xr.Rows != 5 || xr.Cols != 10 {
+	if xr := v.decoder.InferInto(mu, ws); xr.Rows != 5 || xr.Cols != 10 {
+		t.Fatalf("decoded shape %dx%d", xr.Rows, xr.Cols)
+	}
+	if xr := v.reconstructInto(x, ws); xr.Rows != 5 || xr.Cols != 10 {
 		t.Fatalf("reconstruction shape %dx%d", xr.Rows, xr.Cols)
 	}
-	if s := v.Sample(7, rng); s.Rows != 7 || s.Cols != 10 {
+	// The generative direction: prior draws decode to input width.
+	if s := v.decoder.InferInto(mat.Randn(7, 4, 1, rng), ws); s.Rows != 7 || s.Cols != 10 {
 		t.Fatalf("sample shape %dx%d", s.Rows, s.Cols)
+	}
+}
+
+// TestUnmarshalRejectsMalformedWidths loads artifacts whose sub-networks
+// are each well formed but do not chain into one another or into Cfg.
+// Each must fail at load rather than panic on its first score.
+func TestUnmarshalRejectsMalformedWidths(t *testing.T) {
+	// fields marshals a fresh VAE as its top-level JSON fields, so parts
+	// can be swapped between models of different widths.
+	fields := func(input, hidden, latent int) map[string]json.RawMessage {
+		v, err := New(Config{InputDim: input, HiddenDims: []int{5, hidden}, LatentDim: latent, LearningRate: 1, Epochs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f map[string]json.RawMessage
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	cases := []struct {
+		field string
+		from  map[string]json.RawMessage
+	}{
+		{"encoder", fields(7, 4, 3)},     // encoder input ≠ InputDim
+		{"mu_head", fields(6, 2, 3)},     // head input ≠ encoder output
+		{"logvar_head", fields(6, 4, 2)}, // head output ≠ LatentDim
+		{"decoder", fields(6, 4, 2)},     // decoder input ≠ LatentDim
+		{"decoder", fields(7, 4, 3)},     // decoder output ≠ InputDim
+		{"encoder", map[string]json.RawMessage{"encoder": json.RawMessage(`{"layers":[]}`)}},
+	}
+	for i, tc := range cases {
+		f := fields(6, 4, 3)
+		f[tc.field] = tc.from[tc.field]
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &VAE{}); err == nil {
+			t.Errorf("case %d: malformed %s loaded without error", i, tc.field)
+		}
 	}
 }
 
