@@ -5,8 +5,8 @@ package prodigy
 // benchmarks — the raw detector floor, one synchronous HTTP connection
 // (which pays the full coalescing window per request), and 64 concurrent
 // HTTP connections (which amortize it) — plus an open-loop saturation
-// sweep in the BENCH_serving.json emitter that drives the tier at and
-// beyond its measured capacity and records tail latency and shed rate.
+// sweep (measureServingLoad) that drives the tier at and beyond its
+// measured capacity and records tail latency and shed rate.
 
 import (
 	"bytes"
@@ -16,8 +16,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -26,7 +24,6 @@ import (
 	"prodigy/internal/core"
 	"prodigy/internal/dsos"
 	"prodigy/internal/mat"
-	"prodigy/internal/nn"
 	"prodigy/internal/obs"
 	"prodigy/internal/pipeline"
 	"prodigy/internal/serve"
@@ -183,16 +180,25 @@ func BenchmarkServeCoalesced64(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
-// openLoopResult is one saturation-sweep point. p50/p99 are the tier's
-// own admission-to-flush waits (Result.Waited) — the latency the
-// deadline-shed mechanism bounds. clientP99 is wall-clock latency as the
-// submitting goroutine saw it, which on a single-core runner also
-// includes the scheduler delay of the co-located load generator itself.
-type openLoopResult struct {
-	offeredRPS float64
-	p50, p99   time.Duration
-	clientP99  time.Duration
-	shedFrac   float64
+// loadPointMetrics is the entry one load point records. p50_ns/p99_ns
+// are the tier's own admission-to-flush waits (Result.Waited) — the
+// latency the deadline-shed mechanism bounds. client_p99_ns is wall-clock
+// latency as the submitting goroutine saw it, which on a single-core
+// runner also includes the scheduler delay of the co-located load
+// generator itself.
+func loadPointMetrics(offeredRPS float64, latencies, waits []time.Duration, shed int) map[string]float64 {
+	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	quantile := func(sorted []time.Duration, p float64) float64 {
+		return float64(sorted[int(p*float64(len(sorted)-1))].Nanoseconds())
+	}
+	return map[string]float64{
+		"offered_rows_per_s": offeredRPS,
+		"p50_ns":             quantile(waits, 0.50),
+		"p99_ns":             quantile(waits, 0.99),
+		"client_p99_ns":      quantile(latencies, 0.99),
+		"shed_frac":          float64(shed) / float64(len(latencies)+shed),
+	}
 }
 
 // measureScoreCeiling benchmarks back-to-back full-batch DetectBatch
@@ -227,7 +233,7 @@ func measureScoreCeiling(tb testing.TB, p *core.Prodigy, width, maxBatch int) fl
 // fired without a client-side concurrency cap — admission control is the
 // tier's job, and shed requests return immediately, which is exactly
 // what keeps the generator's goroutine count bounded under overload.
-func runOpenLoop(tb testing.TB, tier *serve.Tier, width int, rowsPerSec float64, runFor time.Duration) openLoopResult {
+func runOpenLoop(tb testing.TB, tier *serve.Tier, width int, rowsPerSec float64, runFor time.Duration) map[string]float64 {
 	tb.Helper()
 	const reqRows = 1024
 	interval := time.Millisecond
@@ -284,21 +290,7 @@ func runOpenLoop(tb testing.TB, tier *serve.Tier, width int, rowsPerSec float64,
 		rowsPerSec, len(latencies), shed,
 		shedAfter[serveShedQueueFull]-shedBefore[serveShedQueueFull],
 		shedAfter[serveShedDeadline]-shedBefore[serveShedDeadline], maxQueued)
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-	total := len(latencies) + shed
-	return openLoopResult{
-		offeredRPS: rowsPerSec,
-		p50:        durQuantile(waits, 0.50),
-		p99:        durQuantile(waits, 0.99),
-		clientP99:  durQuantile(latencies, 0.99),
-		shedFrac:   float64(shed) / float64(total),
-	}
-}
-
-// durQuantile reads quantile p from an ascending-sorted slice.
-func durQuantile(sorted []time.Duration, p float64) time.Duration {
-	return sorted[int(p*float64(len(sorted)-1))]
+	return loadPointMetrics(rowsPerSec, latencies, waits, shed)
 }
 
 // runSaturated drives the tier closed-loop from `workers` standing
@@ -310,7 +302,7 @@ func durQuantile(sorted []time.Duration, p float64) time.Duration {
 // directly, so it exercises queue_full shedding deterministically.
 // offeredRPS reports the demand actually presented — attempted rows
 // (scored + shed) over wall time.
-func runSaturated(tb testing.TB, tier *serve.Tier, width, workers int, runFor time.Duration) openLoopResult {
+func runSaturated(tb testing.TB, tier *serve.Tier, width, workers int, runFor time.Duration) map[string]float64 {
 	tb.Helper()
 	const reqRows = 1024
 	var (
@@ -359,16 +351,8 @@ func runSaturated(tb testing.TB, tier *serve.Tier, width, workers int, runFor ti
 		workers, len(latencies), shed,
 		shedAfter[serveShedQueueFull]-shedBefore[serveShedQueueFull],
 		shedAfter[serveShedDeadline]-shedBefore[serveShedDeadline])
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-	total := len(latencies) + shed
-	return openLoopResult{
-		offeredRPS: float64(total) * reqRows / elapsed.Seconds(),
-		p50:        durQuantile(waits, 0.50),
-		p99:        durQuantile(waits, 0.99),
-		clientP99:  durQuantile(latencies, 0.99),
-		shedFrac:   float64(shed) / float64(total),
-	}
+	offered := float64(len(latencies)+shed) * reqRows / elapsed.Seconds()
+	return loadPointMetrics(offered, latencies, waits, shed)
 }
 
 // Shed-reason label values of serve_shed_total (mirrors internal/serve).
@@ -401,72 +385,24 @@ func randServeVectors(rng *rand.Rand, n, width int) [][]float64 {
 	return out
 }
 
-// TestEmitServingBenchJSON (BENCH_SERVING_JSON) snapshots the serving
-// tier: the three closed-loop benchmarks, a paced open-loop sweep below
-// and at measured capacity, and a closed-loop saturation point. It also
-// enforces the PR's acceptance criteria: coalesced throughput ≥5× the
-// single-connection baseline, nonzero shed once demand exceeds 2× the
-// scoring ceiling, and a tier wait bounded by the admission deadline
-// while shedding.
-func TestEmitServingBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_SERVING_JSON")
-	if path == "" {
-		t.Skip("set BENCH_SERVING_JSON=<path> to emit the serving benchmark JSON")
-	}
-	report := benchReport{
-		GeneratedUnix: time.Now().Unix(),
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		CPUs:          runtime.NumCPU(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		TrainWorkers:  nn.TrainConfig{}.EffectiveWorkers(),
-	}
-	closed := []namedBench{
-		{"ServeDirectSingleRow", BenchmarkServeDirectSingleRow},
-		{"ServeSingleConn", BenchmarkServeSingleConn},
-		{"ServeCoalesced64", BenchmarkServeCoalesced64},
-	}
-	perSec := map[string]float64{}
-	for _, nb := range closed {
-		fn := nb.fn
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			fn(b)
-		})
-		if res.N == 0 {
-			t.Fatalf("benchmark %s did not run", nb.name)
-		}
-		entry := benchEntry{
-			Name:        nb.name,
-			Iterations:  res.N,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		}
-		if v, ok := res.Extra["samples/s"]; ok {
-			entry.SamplesPerSec = v
-			perSec[nb.name] = v
-		}
-		report.Benchmarks = append(report.Benchmarks, entry)
-		t.Logf("%s: %.0f ns/op, %.0f samples/s", nb.name, entry.NsPerOp, entry.SamplesPerSec)
-	}
+// saturatedTierConfig is the overload point's tier, whose flush batch
+// costs ~16ms of scoring — past the runtime's async-preemption quantum,
+// so competing clients get scheduled against an in-progress flush and
+// their reservations pile up at the admission bound. With the default
+// 4ms flush a single-core scheduler alternates one admission with one
+// staging and the queue can never fill no matter the demand; on
+// multi-core hardware the interleaving happens naturally.
+func saturatedTierConfig() serve.Config {
+	cfg := serve.DefaultConfig()
+	cfg.MaxBatch *= 4
+	cfg.MaxQueue = cfg.MaxBatch
+	return cfg
+}
 
-	// Acceptance: micro-batching must buy ≥5× over one synchronous
-	// connection, which pays the full coalescing window per request.
-	single, coal := perSec["ServeSingleConn"], perSec["ServeCoalesced64"]
-	if single <= 0 || coal <= 0 {
-		t.Fatal("closed-loop benchmarks reported no samples/s")
-	}
-	if ratio := coal / single; ratio < 5 {
-		t.Errorf("coalesced throughput is only %.1f× the single-connection baseline, want ≥5×", ratio)
-	} else {
-		t.Logf("coalescing speedup: %.1f× (%.0f vs %.0f samples/s)", ratio, coal, single)
-	}
-
-	// Tier-direct load points: measure the scoring ceiling, pace an
-	// open-loop generator at 0.5× and 1× of it, then saturate with
-	// standing closed-loop demand.
+// measureServingLoad drives the tier directly: it measures the scoring
+// ceiling, paces an open-loop generator at 0.5× and 1× of it, then
+// saturates a saturatedTierConfig tier with standing closed-loop demand.
+func measureServingLoad(t *testing.T) benchMetrics {
 	p := servingModel(t)
 	width := len(p.FeatureNames())
 	tierCfg := serve.DefaultConfig()
@@ -474,69 +410,14 @@ func TestEmitServingBenchJSON(t *testing.T) {
 	defer tier.Stop()
 	ceiling := measureScoreCeiling(t, p, width, tierCfg.MaxBatch)
 	t.Logf("scoring ceiling: %.0f rows/s", ceiling)
-	for _, pt := range []struct {
-		name string
-		mult float64
-	}{
-		{"ServeOpenLoopHalf", 0.5},
-		{"ServeOpenLoop1x", 1},
-	} {
-		res := runOpenLoop(t, tier, width, pt.mult*ceiling, 1200*time.Millisecond)
-		report.Benchmarks = append(report.Benchmarks, benchEntry{
-			Name:        pt.name,
-			OfferedRPS:  res.offeredRPS,
-			P50Ns:       float64(res.p50.Nanoseconds()),
-			P99Ns:       float64(res.p99.Nanoseconds()),
-			ClientP99Ns: float64(res.clientP99.Nanoseconds()),
-			ShedFrac:    res.shedFrac,
-		})
-		t.Logf("%s: offered %.0f rows/s, tier-wait p50 %v p99 %v, client p99 %v, shed %.1f%%",
-			pt.name, res.offeredRPS, res.p50, res.p99, res.clientP99, 100*res.shedFrac)
-	}
+	m := benchMetrics{}
+	m["ServeOpenLoopHalf"] = runOpenLoop(t, tier, width, 0.5*ceiling, 1200*time.Millisecond)
+	m["ServeOpenLoop1x"] = runOpenLoop(t, tier, width, ceiling, 1200*time.Millisecond)
 
-	// Overload point: a dedicated tier whose flush batch costs ~16ms of
-	// scoring — past the runtime's async-preemption quantum, so competing
-	// clients get scheduled against an in-progress flush and their
-	// reservations pile up at the admission bound. With the default 4ms
-	// flush a single-core scheduler alternates one admission with one
-	// staging and the queue can never fill no matter the demand; on
-	// multi-core hardware the interleaving happens naturally.
-	satCfg := serve.DefaultConfig()
-	satCfg.MaxBatch = 4 * tierCfg.MaxBatch
-	satCfg.MaxQueue = satCfg.MaxBatch
-	satTier := serve.NewTier(p, satCfg)
+	satTier := serve.NewTier(p, saturatedTierConfig())
 	defer satTier.Stop()
 	sat := runSaturated(t, satTier, width, 256, 1200*time.Millisecond)
-	report.Benchmarks = append(report.Benchmarks, benchEntry{
-		Name:        "ServeSaturated",
-		OfferedRPS:  sat.offeredRPS,
-		P50Ns:       float64(sat.p50.Nanoseconds()),
-		P99Ns:       float64(sat.p99.Nanoseconds()),
-		ClientP99Ns: float64(sat.clientP99.Nanoseconds()),
-		ShedFrac:    sat.shedFrac,
-	})
-	t.Logf("ServeSaturated: demand %.0f rows/s (%.1f× ceiling), tier-wait p50 %v p99 %v, client p99 %v, shed %.1f%%",
-		sat.offeredRPS, sat.offeredRPS/ceiling, sat.p50, sat.p99, sat.clientP99, 100*sat.shedFrac)
-	if sat.offeredRPS < 2*ceiling {
-		t.Errorf("saturated demand %.0f rows/s never reached 2× the %.0f rows/s ceiling", sat.offeredRPS, ceiling)
-	}
-	if sat.shedFrac == 0 {
-		t.Error("no request shed under saturating demand: load-shedding is not engaging")
-	}
-	// "Shed the request, not the tail latency": nothing the tier answers
-	// may have waited past the admission deadline — the deadline check
-	// at the flush boundary is what turns overload into sheds instead of
-	// unbounded queueing delay.
-	if limit := satCfg.Deadline + satCfg.Window; sat.p99 > limit {
-		t.Errorf("tier-wait p99 %v under overload exceeds deadline+window %v: overload is landing on latency instead of shed", sat.p99, limit)
-	}
-
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
+	sat["ceiling_rows_per_s"] = ceiling
+	m["ServeSaturated"] = sat
+	return m
 }
