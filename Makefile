@@ -21,7 +21,8 @@ race:
 # prodigy-lint turns the repo's prose contracts into machine-checked ones
 # (DESIGN.md §9, §14): stateless inference, bounded metric labels, seeded
 # randomness, no float equality in the numeric core, joined bounded
-# goroutines, lock-guarded fields, deterministic iteration order.
+# goroutines, lock-guarded fields, deterministic iteration order, no code
+# that no entry point reaches.
 lint:
 	go run ./cmd/prodigy-lint
 

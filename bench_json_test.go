@@ -51,8 +51,8 @@ type benchReport struct {
 	// since parallel-path results do not transfer across core counts.
 	CPUs       int `json:"cpus"`
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// TrainWorkers is the default data-parallel fan-out a zero-valued
-	// nn.TrainConfig resolves to on this machine (DESIGN.md §11); the W8
+	// TrainWorkers is the default data-parallel fan-out nn.EffectiveWorkers
+	// resolves to on this machine (DESIGN.md §11); the W8
 	// train benchmarks pin their own count regardless.
 	TrainWorkers int          `json:"train_workers"`
 	Benchmarks   []benchEntry `json:"benchmarks"`
@@ -142,10 +142,8 @@ var benchFiles = []benchFile{
 		// The W8 variants add the data-parallel fan-out of DESIGN.md §11,
 		// which only pays off with real cores.
 		benches: []namedBench{
-			{"MLPTrainEpoch", BenchmarkMLPTrainEpoch},
 			{"VAETrainEpoch", BenchmarkVAETrainEpoch},
 			{"USADTrainEpoch", BenchmarkUSADTrainEpoch},
-			{"MLPTrainEpochW8", BenchmarkMLPTrainEpochW8},
 			{"VAETrainEpochW8", BenchmarkVAETrainEpochW8},
 			{"USADTrainEpochW8", BenchmarkUSADTrainEpochW8},
 		},
@@ -287,7 +285,7 @@ func emitBenchFile(t *testing.T, f benchFile, out string, rebaseline bool) {
 		GOARCH:        runtime.GOARCH,
 		CPUs:          runtime.NumCPU(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		TrainWorkers:  nn.TrainConfig{}.EffectiveWorkers(),
+		TrainWorkers:  nn.EffectiveWorkers(0),
 	}
 	for _, name := range f.names() {
 		metrics, ok := m[name]

@@ -6,21 +6,23 @@ import (
 
 	"prodigy/internal/baselines/usad"
 	"prodigy/internal/mat"
-	"prodigy/internal/nn"
 )
 
 // Kernel and training micro-benchmarks backing BENCH_matmul.json and
 // BENCH_train.json (see bench_json_test.go). Every kernel writes into a
 // reused destination, so each row should report 0 allocs/op.
 
+// benchMatMulInto times the plain product: MatMulBiasInto with a zero
+// bias, the kernel behind every Dense layer.
 func benchMatMulInto(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
 	x := mat.Randn(n, n, 1, rng)
 	y := mat.Randn(n, n, 1, rng)
+	bias := make([]float64, n)
 	dst := mat.New(n, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mat.MatMulInto(dst, x, y)
+		mat.MatMulBiasInto(dst, x, y, bias)
 	}
 	reportMadds(b, n)
 }
@@ -45,6 +47,8 @@ func BenchmarkKernelMatMulTInto128(b *testing.B) {
 	reportMadds(b, 128)
 }
 
+// BenchmarkKernelTMatMulInto128 times the gradient kernel TMatMulAccInto
+// (W.Grad += xᵀ·gradOut); the destination accumulates across iterations.
 func BenchmarkKernelTMatMulInto128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := mat.Randn(128, 128, 1, rng)
@@ -52,7 +56,7 @@ func BenchmarkKernelTMatMulInto128(b *testing.B) {
 	dst := mat.New(128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mat.TMatMulInto(dst, x, y)
+		mat.TMatMulAccInto(dst, x, y)
 	}
 	reportMadds(b, 128)
 }
@@ -70,31 +74,6 @@ func BenchmarkKernelMatMulBiasInto(b *testing.B) {
 		mat.MatMulBiasInto(dst, x, w, bias)
 	}
 }
-
-// benchMLPTrainEpoch measures one epoch of plain autoencoder training on
-// 256×100 features at batch size 64 — the nn.Train loop — at the given
-// data-parallel fan-out. Results are bit-identical across fan-outs
-// (DESIGN.md §11), so the W1/W8 pair isolates the parallel speedup from
-// the single-core kernel wins.
-func benchMLPTrainEpoch(b *testing.B, workers int) {
-	rng := rand.New(rand.NewSource(1))
-	x := mat.Randn(256, 100, 1, rng)
-	net, err := nn.NewMLP([]int{100, 64, 32, 64, 100}, "relu", "", rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := nn.NewAdam(1e-3)
-	cfg := nn.TrainConfig{Epochs: 1, BatchSize: 64, ClipNorm: 5, Workers: workers}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nn.Train(net, x, x, nn.MSELoss{}, opt, cfg, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMLPTrainEpoch(b *testing.B)   { benchMLPTrainEpoch(b, 1) }
-func BenchmarkMLPTrainEpochW8(b *testing.B) { benchMLPTrainEpoch(b, 8) }
 
 // benchUSADTrainEpoch measures one adversarial USAD epoch (two
 // autoencoders, three forward/backward passes per step) on 256×100.

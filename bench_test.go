@@ -69,10 +69,17 @@ func BenchmarkFigure5_Volta(b *testing.B) {
 }
 
 func reportF1s(b *testing.B, res *experiments.Figure5Result) {
-	b.ReportMetric(res.F1Of("Prodigy"), "prodigyF1")
-	b.ReportMetric(res.F1Of("USAD"), "usadF1")
-	b.ReportMetric(res.F1Of("Isolation Forest"), "ifF1")
-	b.ReportMetric(res.F1Of("Local Outlier Factor"), "lofF1")
+	units := map[string]string{
+		"Prodigy":              "prodigyF1",
+		"USAD":                 "usadF1",
+		"Isolation Forest":     "ifF1",
+		"Local Outlier Factor": "lofF1",
+	}
+	for _, m := range res.Methods {
+		if unit, ok := units[m.Method]; ok {
+			b.ReportMetric(m.Mean, unit)
+		}
+	}
 }
 
 // BenchmarkFigure6 regenerates the sample-efficiency curve (E2): F1 vs
@@ -240,16 +247,18 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkFeatureExtractionNamed measures the convenience wrapper that
-// additionally allocates the result vector and rebuilds the namespaced
-// name table every call — the cold-path cost the Into form avoids.
+// BenchmarkFeatureExtractionNamed measures the cold path that allocates
+// the result vector and rebuilds the namespaced name table every call —
+// the cost the preallocated Into form avoids.
 func BenchmarkFeatureExtractionNamed(b *testing.B) {
 	tb := benchFeatureTable()
 	cat := features.Default()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cat.ExtractTable(tb)
+		dst := make([]float64, tb.NumMetrics()*cat.NumFeaturesPerSeries())
+		cat.ExtractTableInto(dst, tb)
+		cat.TableFeatureNames(tb.Order)
 	}
 }
 

@@ -128,7 +128,7 @@ func runEval(cfg core.Config, ds *pipeline.Dataset, modelPath string) {
 
 func runDetect(cfg core.Config, ds *pipeline.Dataset, modelPath string) {
 	p := loadModel(cfg, ds, modelPath)
-	preds, scores := p.Detect(ds.X)
+	preds, scores, _ := p.DetectBatch(ds.X)
 	fmt.Printf("%-8s %-12s %-12s %-10s %-8s %s\n", "sample", "job", "component", "app", "pred", "score")
 	for i := range preds {
 		m := ds.Meta[i]

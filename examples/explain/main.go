@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	preds, scores := p.Detect(ds.X)
+	preds, scores, _ := p.DetectBatch(ds.X)
 	for i, m := range ds.Meta {
 		if m.Anomaly != "memleak" || preds[i] != 1 {
 			continue

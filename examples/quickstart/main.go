@@ -46,7 +46,7 @@ func main() {
 	fmt.Printf("trained VAE; anomaly threshold = %.5f\n", p.Threshold())
 
 	// 3. Detect: reconstruction error above the threshold flags a node.
-	preds, scores := p.Detect(ds.X)
+	preds, scores, _ := p.DetectBatch(ds.X)
 	correct := 0
 	for i, m := range ds.Meta {
 		if preds[i] == m.Label {

@@ -1,11 +1,12 @@
 // Package analysis is prodigy-lint: a static-analysis suite, written
 // purely against the standard library (go/parser, go/ast, go/types,
 // go/importer), that turns the repository's prose contracts into
-// machine-checked ones (DESIGN.md §9, §14). Eight analyzers enforce the
+// machine-checked ones (DESIGN.md §9, §14). Nine analyzers enforce the
 // concurrency contract (statelessinfer, spawnsafe, lockguard), the
 // hot-path memory discipline (hotalloc), the observability naming and
 // cardinality rules (obsconventions), experiment reproducibility
-// (seededrand, detorder) and numeric hygiene (floateq).
+// (seededrand, detorder), numeric hygiene (floateq) and reachability
+// (deadcode).
 //
 // A finding can be suppressed at the offending line (same line or the
 // line directly above) with an explanation:
@@ -27,8 +28,8 @@ import (
 
 // Diagnostic is one finding, attributed to the analyzer that produced it.
 // Suppressed marks findings silenced by a well-formed //lint:ignore
-// directive: Lint drops them, LintAll keeps them for the machine-readable
-// report (a CI annotation pipeline wants to see what was waived, too).
+// directive: the text report drops them, the machine-readable report keeps
+// them (a CI annotation pipeline wants to see what was waived, too).
 type Diagnostic struct {
 	Pos        token.Position
 	Analyzer   string
@@ -62,25 +63,13 @@ type ignoreDirective struct {
 	reason   string
 }
 
-// Lint runs the analyzers over the unit, applies suppression directives,
-// and returns the surviving diagnostics sorted by position. Directives
-// naming unknown analyzers, missing a reason, or suppressing nothing are
-// reported under the pseudo-analyzer "lint".
-func Lint(u *Unit, analyzers ...Analyzer) []Diagnostic {
-	all := LintAll(u, analyzers...)
-	out := all[:0]
-	for _, d := range all {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// LintAll is Lint keeping the suppressed diagnostics, marked, for
-// machine-readable reports. The analyzers run concurrently — each is
-// independent and reports into its own buffer — and the merged result is
-// sorted by position, so the output is deterministic for any schedule.
+// LintAll runs the analyzers over the unit, applies suppression
+// directives, and returns every diagnostic sorted by position, suppressed
+// ones marked. Directives naming unknown analyzers, missing a reason, or
+// suppressing nothing are reported under the pseudo-analyzer "lint". The
+// analyzers run concurrently — each is independent and reports into its
+// own buffer — and the merged result is sorted by position, so the output
+// is deterministic for any schedule.
 func LintAll(u *Unit, analyzers ...Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -223,5 +212,6 @@ func DefaultAnalyzers() []Analyzer {
 		&SpawnSafe{},
 		&LockGuard{},
 		&DetOrder{Packages: DefaultDetOrderPackages()},
+		&DeadCode{},
 	}
 }

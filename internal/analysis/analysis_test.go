@@ -47,6 +47,19 @@ func loadFixtures(t *testing.T, pkgs ...[2]string) *Unit {
 	return u
 }
 
+// Lint is LintAll without the suppressed diagnostics: what the fixture
+// tests compare against their //want markers.
+func Lint(u *Unit, analyzers ...Analyzer) []Diagnostic {
+	all := LintAll(u, analyzers...)
+	out := all[:0]
+	for _, d := range all {
+		if !d.Suppressed {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // wantRE matches expectation markers embedded in fixtures: //want:<analyzer>
 var wantRE = regexp.MustCompile(`//want:([a-z]+)`)
 
@@ -161,6 +174,17 @@ func TestDetOrder(t *testing.T) {
 		[2]string{"fixture/det/internal/util", "detorder/util"},
 	)
 	diags := Lint(u, &DetOrder{Packages: DefaultDetOrderPackages()})
+	checkAgainstMarkers(t, u, diags)
+}
+
+// TestDeadCode checks the reachability rules on a fixture binary: a
+// function only its _test.go calls and methods no interface names are
+// reported; interface dispatch, method values, init-time registries,
+// generic instances, package-level var initializers and a suppression
+// keep everything else quiet.
+func TestDeadCode(t *testing.T) {
+	u := loadFixtures(t, [2]string{"fixture/deadcode", "deadcode"})
+	diags := Lint(u, &DeadCode{})
 	checkAgainstMarkers(t, u, diags)
 }
 

@@ -6,11 +6,12 @@ import (
 )
 
 // This file holds the call-graph index shared by the reachability-based
-// analyzers (statelessinfer, hotalloc): a map from every module function
-// object to its declaration, the module's named types for interface
-// resolution, and root-spec resolution. Each analyzer layers its own
-// traversal on top — statelessinfer a taint trace, hotalloc a plain
-// reachability scan.
+// analyzers (statelessinfer, hotalloc, deadcode): a map from every module
+// function object to its declaration, the module's named types for
+// interface resolution, and root-spec resolution. Each analyzer layers its
+// own traversal on top — statelessinfer a taint trace, hotalloc a plain
+// reachability scan from its roots, deadcode liveness from every entry
+// point.
 
 // RootSpec names one analysis root: a concrete method or an interface
 // method (matched by the defining type's name, module-wide).

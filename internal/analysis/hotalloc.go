@@ -8,7 +8,7 @@ import (
 
 // HotAlloc enforces the memory discipline of DESIGN.md §10: code
 // reachable from the stateless-inference roots must use the
-// destination-passing mat kernels (MatMulInto, ApplyInto, ...) with
+// destination-passing mat kernels (MatMulBiasInto, ApplyInto, ...) with
 // workspace-owned buffers, never the allocating constructors and copies
 // (mat.New, Matrix.Clone, Matrix.SelectRows, ...). Steady-state inference is
 // zero-allocation — pinned by testing.AllocsPerRun regression tests —

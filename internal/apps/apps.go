@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Drivers is the compact per-second behavioural state of one compute node
@@ -258,16 +257,6 @@ func Get(name string) (*Signature, error) {
 		return nil, fmt.Errorf("apps: unknown application %q", name)
 	}
 	return s, nil
-}
-
-// Names returns all registered application names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EclipseApps lists the applications the paper runs on Eclipse (Table 1).

@@ -176,7 +176,3 @@ func init() {
 		PageRate: 900, IORate: 1300, CtxtRate: 3400, Noise: 0.055,
 	})
 }
-
-// GPUApps lists the GPU-accelerated signatures of the heterogeneous
-// extension.
-func GPUApps() []string { return []string{"lammps-gpu", "hacc-gpu", "sw4-gpu"} }

@@ -188,6 +188,3 @@ func (f *Forest) Predict(x *mat.Matrix) []int {
 	}
 	return out
 }
-
-// Threshold returns the calibrated decision threshold.
-func (f *Forest) Threshold() float64 { return f.threshold }

@@ -194,6 +194,3 @@ func (l *LOF) Predict(x *mat.Matrix) []int {
 	}
 	return out
 }
-
-// Threshold returns the calibrated decision threshold.
-func (l *LOF) Threshold() float64 { return l.threshold }

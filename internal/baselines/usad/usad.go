@@ -137,7 +137,7 @@ func (u *USAD) Fit(x *mat.Matrix, progress func(epoch int, l1, l2 float64)) erro
 	// and reads AE1 through the root's stateless InferInto, which needs no
 	// replica at all. All buffers are fit-lifetime and refilled in place —
 	// steady-state steps do not touch the allocator.
-	workers := nn.TrainConfig{Workers: u.Cfg.Workers}.EffectiveWorkers()
+	workers := nn.EffectiveWorkers(u.Cfg.Workers)
 	sh1 := nn.NewSharder(workers, bs, []*nn.Network{u.ae1}, []*nn.Network{u.ae2})
 	sh2 := nn.NewSharder(workers, bs, []*nn.Network{u.ae2}, nil)
 	xb := &mat.Matrix{}

@@ -96,7 +96,7 @@ func TestAnomalySeparation(t *testing.T) {
 	}
 	hs := u.Scores(healthy)
 	as := u.Scores(anom)
-	hMed := mat.Median(hs)
+	hMed := mat.Percentile(hs, 50)
 	above := 0
 	for _, s := range as {
 		if s > hMed*3 {

@@ -26,10 +26,10 @@ func TestSystemSpecsMatchPaper(t *testing.T) {
 	if v.NumNodes() != 52 {
 		t.Fatalf("Volta has %d nodes, want 52", v.NumNodes())
 	}
-	if v.Switch(0) != 0 || v.Switch(3) != 0 || v.Switch(4) != 1 || v.Switch(51) != 12 {
+	if v.NodesPerSwitch != 4 || v.NumNodes()/v.NodesPerSwitch != 13 {
 		t.Fatal("Volta switch topology should be 13 switches of 4")
 	}
-	if e.Switch(1000) != 0 {
+	if e.NodesPerSwitch != 0 {
 		t.Fatal("Eclipse has no switch topology modeled")
 	}
 }
@@ -40,8 +40,8 @@ func TestSubmitAllocatesAndCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(j1.Nodes) != 4 || s.FreeNodes() != 4 {
-		t.Fatalf("allocation wrong: %v free=%d", j1.Nodes, s.FreeNodes())
+	if len(j1.Nodes) != 4 || len(s.free) != 4 {
+		t.Fatalf("allocation wrong: %v free=%d", j1.Nodes, len(s.free))
 	}
 	j2, err := s.Submit("sw4", 4, 100, 2)
 	if err != nil {
@@ -61,14 +61,14 @@ func TestSubmitAllocatesAndCompletes(t *testing.T) {
 	if err := s.Complete(j1.ID); err != nil {
 		t.Fatal(err)
 	}
-	if s.FreeNodes() != 4 {
+	if len(s.free) != 4 {
 		t.Fatal("nodes not released")
 	}
 	if err := s.Complete(j1.ID); err == nil {
 		t.Fatal("double completion should error")
 	}
-	if got := s.Running(); len(got) != 1 || got[0] != j2.ID {
-		t.Fatalf("running = %v", got)
+	if _, ok := s.running[j2.ID]; len(s.running) != 1 || !ok {
+		t.Fatalf("running = %v, want only job %d", s.running, j2.ID)
 	}
 }
 
@@ -154,24 +154,6 @@ func TestMemleakLowersMemFree(t *testing.T) {
 	lDrop := (lStart - lEnd) / lStart
 	if lDrop < hDrop+0.03 {
 		t.Fatalf("memleak MemFree drop %v vs healthy %v: leak invisible", lDrop, hDrop)
-	}
-}
-
-func TestNodeReset(t *testing.T) {
-	n := NewNode(0, VoltaNode())
-	sig, _ := apps.Get("minimd")
-	run := sig.NewRun(10, 1)
-	rng := rand.New(rand.NewSource(1))
-	for ti := int64(0); ti < 10; ti++ {
-		n.Step(run.DriversAt(ti), rng)
-	}
-	before := n.counters["ctxt"]
-	if before == 0 {
-		t.Fatal("counter should have accumulated")
-	}
-	n.Reset()
-	if len(n.counters) != 0 || n.swapUsedKB != 0 {
-		t.Fatal("Reset must clear state")
 	}
 }
 

@@ -71,12 +71,6 @@ func NewNode(id int, spec NodeSpec) *Node {
 	return &Node{ID: id, Spec: spec, counters: make(map[string]float64)}
 }
 
-// Reset clears all accumulated state, as after a reboot.
-func (n *Node) Reset() {
-	n.counters = make(map[string]float64)
-	n.swapUsedKB = 0
-}
-
 // bump adds delta to an accumulated counter and returns its new value.
 func (n *Node) bump(name string, delta float64) float64 {
 	if delta < 0 {

@@ -67,9 +67,6 @@ func (s *System) SpecFor(node int) NodeSpec {
 	return s.Spec
 }
 
-// IsGPUNode reports whether a node belongs to the GPU partition.
-func (s *System) IsGPUNode(node int) bool { return s.gpuNodes[node] }
-
 // Eclipse returns the production system of the paper: 1488 nodes (§5.1).
 func Eclipse() *System { return NewSystem("eclipse", 1488, EclipseNode(), 0) }
 
@@ -79,22 +76,6 @@ func Volta() *System { return NewSystem("volta", 52, VoltaNode(), 4) }
 
 // NumNodes returns the node count.
 func (s *System) NumNodes() int { return s.numNodes }
-
-// FreeNodes returns the number of currently unallocated nodes.
-func (s *System) FreeNodes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.free)
-}
-
-// Switch returns the switch index of a node, or 0 when the system has no
-// switch topology.
-func (s *System) Switch(node int) int {
-	if s.NodesPerSwitch <= 0 {
-		return 0
-	}
-	return node / s.NodesPerSwitch
-}
 
 // Job is one scheduled application run.
 type Job struct {
@@ -179,18 +160,6 @@ func (s *System) Complete(jobID int64) error {
 	}
 	delete(s.running, jobID)
 	return nil
-}
-
-// Running returns the IDs of currently running jobs, sorted.
-func (s *System) Running() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int64, 0, len(s.running))
-	for id := range s.running {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // NodeRunSeed derives the deterministic telemetry seed for one (job, node)

@@ -9,10 +9,11 @@
 //
 // Prodigy classifies feature vectors rather than raw series, so a "metric"
 // here is the group of all features extracted from that metric's time
-// series; substituting a metric swaps its whole feature group. Both search
-// strategies of the original implementation are provided: BruteForceSearch
-// (exact, exponential) and OptimizedSearch (greedy with random restarts),
-// adapted for threshold-based models as §5.4.4 describes.
+// series; substituting a metric swaps its whole feature group. The search
+// is the original implementation's OptimizedSearch (greedy with random
+// restarts), adapted for threshold-based models as §5.4.4 describes; the
+// exact, exponential brute-force search it approximates lives in the
+// tests as the reference.
 package comte
 
 import (
@@ -112,9 +113,6 @@ func New(clf Classifier, pool *mat.Matrix, featureNames []string, cfg Config) (*
 	return &Explainer{Clf: clf, Pool: pool, Groups: groups, Cfg: cfg, metricNames: names}, nil
 }
 
-// Metrics returns the metric names in deterministic order.
-func (e *Explainer) Metrics() []string { return e.metricNames }
-
 // nearestDistractors returns the indices of the NumDistractors pool rows
 // closest to x (the original CoMTE heuristic: good distractors are close).
 func (e *Explainer) nearestDistractors(x []float64) []int {
@@ -160,59 +158,6 @@ func (e *Explainer) substitute(x []float64, distractor []float64, metrics []stri
 func (e *Explainer) classify(x []float64) (bool, float64) {
 	preds, scores := e.Clf.Predict(mat.NewFromData(1, len(x), x))
 	return preds[0] == 1, scores[0]
-}
-
-// BruteForceSearch finds a minimum-size explanation by trying all metric
-// subsets of size 1, then 2, ... up to MaxMetrics for each candidate
-// distractor. Exact but exponential; use for small MaxMetrics.
-func (e *Explainer) BruteForceSearch(x []float64) (*Explanation, error) {
-	anom, before := e.classify(x)
-	if !anom {
-		return nil, fmt.Errorf("comte: sample is already classified healthy")
-	}
-	distractors := e.nearestDistractors(x)
-	for size := 1; size <= e.Cfg.MaxMetrics; size++ {
-		for _, di := range distractors {
-			d := e.Pool.Row(di)
-			if expl := e.searchSize(x, d, di, before, size); expl != nil {
-				return expl, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("comte: no explanation within %d metrics", e.Cfg.MaxMetrics)
-}
-
-// searchSize tries all subsets of exactly size metrics against one
-// distractor, returning the first (lexicographically smallest) flip.
-func (e *Explainer) searchSize(x, d []float64, di int, before float64, size int) *Explanation {
-	n := len(e.metricNames)
-	idx := make([]int, size)
-	for i := range idx {
-		idx[i] = i
-	}
-	metrics := make([]string, size)
-	for {
-		for i, k := range idx {
-			metrics[i] = e.metricNames[k]
-		}
-		if anom, after := e.classify(e.substitute(x, d, metrics)); !anom {
-			out := make([]string, size)
-			copy(out, metrics)
-			return &Explanation{Metrics: out, DistractorIndex: di, ScoreBefore: before, ScoreAfter: after}
-		}
-		// Next combination.
-		i := size - 1
-		for i >= 0 && idx[i] == n-size+i {
-			i--
-		}
-		if i < 0 {
-			return nil
-		}
-		idx[i]++
-		for j := i + 1; j < size; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
 }
 
 // RankByImpact orders an explanation's metrics by how much substituting

@@ -1,6 +1,7 @@
 package comte
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -275,5 +276,59 @@ func TestRankByImpactOrdersOffenders(t *testing.T) {
 	}
 	if len(ranked) == 2 && ranked[0] != "metricC" {
 		t.Fatalf("most impactful first: %v", ranked)
+	}
+}
+
+// BruteForceSearch is the exact reference OptimizedSearch is checked
+// against: it finds a minimum-size explanation by trying all metric
+// subsets of size 1, then 2, ... up to MaxMetrics for each candidate
+// distractor. Exponential; the tests keep MaxMetrics small.
+func (e *Explainer) BruteForceSearch(x []float64) (*Explanation, error) {
+	anom, before := e.classify(x)
+	if !anom {
+		return nil, fmt.Errorf("comte: sample is already classified healthy")
+	}
+	distractors := e.nearestDistractors(x)
+	for size := 1; size <= e.Cfg.MaxMetrics; size++ {
+		for _, di := range distractors {
+			d := e.Pool.Row(di)
+			if expl := e.searchSize(x, d, di, before, size); expl != nil {
+				return expl, nil
+			}
+		}
+	}
+	return nil, fmt.Errorf("comte: no explanation within %d metrics", e.Cfg.MaxMetrics)
+}
+
+// searchSize tries all subsets of exactly size metrics against one
+// distractor, returning the first (lexicographically smallest) flip.
+func (e *Explainer) searchSize(x, d []float64, di int, before float64, size int) *Explanation {
+	n := len(e.metricNames)
+	idx := make([]int, size)
+	for i := range idx {
+		idx[i] = i
+	}
+	metrics := make([]string, size)
+	for {
+		for i, k := range idx {
+			metrics[i] = e.metricNames[k]
+		}
+		if anom, after := e.classify(e.substitute(x, d, metrics)); !anom {
+			out := make([]string, size)
+			copy(out, metrics)
+			return &Explanation{Metrics: out, DistractorIndex: di, ScoreBefore: before, ScoreAfter: after}
+		}
+		// Next combination.
+		i := size - 1
+		for i >= 0 && idx[i] == n-size+i {
+			i--
+		}
+		if i < 0 {
+			return nil
+		}
+		idx[i]++
+		for j := i + 1; j < size; j++ {
+			idx[j] = idx[j-1] + 1
+		}
 	}
 }

@@ -23,8 +23,13 @@ func (p *Prodigy) AnalyzeJobPoisoned(store *dsos.Store, jobID int64) ([]NodePred
 // PlanCells reports how many (metric, extractor) cells the deployed
 // extraction plan runs, or -1 when the deployment has no plan.
 func (p *Prodigy) PlanCells() int {
-	if plan := p.snapshot().plan; plan != nil {
-		return plan.Cells()
+	plan := p.snapshot().plan
+	if plan == nil {
+		return -1
 	}
-	return -1
+	n := 0
+	for _, ex := range plan.Extractors {
+		n += len(ex)
+	}
+	return n
 }

@@ -64,7 +64,7 @@ func TestGPUSchedulingPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range cpuJob.Nodes {
-		if sys.IsGPUNode(n) {
+		if sys.SpecFor(n).GPUs > 0 {
 			t.Fatalf("CPU app placed on GPU node %d", n)
 		}
 	}
@@ -73,7 +73,7 @@ func TestGPUSchedulingPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range gpuJob.Nodes {
-		if !sys.IsGPUNode(n) {
+		if sys.SpecFor(n).GPUs == 0 {
 			t.Fatalf("GPU app placed on CPU node %d", n)
 		}
 	}

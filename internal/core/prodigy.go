@@ -8,16 +8,17 @@
 // Typical flow:
 //
 //	p := core.New(core.DefaultConfig())
-//	err := p.Fit(trainSet, selectionSet)       // train on healthy samples
-//	preds, scores := p.Detect(testSet.X)       // per-sample detection
-//	report, _ := p.AnalyzeJob(store, jobID)    // per-node dashboard rows
-//	expl, _ := p.Explain(testSet, sampleIdx)   // counterfactual explanation
+//	err := p.Fit(trainSet, selectionSet)          // train on healthy samples
+//	preds, scores, _ := p.DetectBatch(testSet.X) // per-sample detection
+//	report, _ := p.AnalyzeJob(store, jobID)       // per-node dashboard rows
+//	expl, _ := p.Explain(testSet, sampleIdx)      // counterfactual explanation
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -330,12 +331,6 @@ func (p *Prodigy) Swap(artifact *pipeline.Artifact) error {
 // Trained reports whether Fit has completed.
 func (p *Prodigy) Trained() bool { return p.deployed.Load() != nil }
 
-// Detect returns binary predictions (1 = anomalous) and scores for samples
-// in the full extracted feature space.
-func (p *Prodigy) Detect(xFull *mat.Matrix) ([]int, []float64) {
-	return p.det().Predict(xFull)
-}
-
 // Scores returns raw anomaly scores (reconstruction MAE).
 func (p *Prodigy) Scores(xFull *mat.Matrix) []float64 {
 	return p.det().Scores(xFull)
@@ -347,23 +342,30 @@ func (p *Prodigy) Threshold() float64 {
 }
 
 // TuneThreshold sweeps thresholds over the given scored set and adopts the
-// best macro-F1 threshold (the §5.4.4 sweep: 0.001 increments from 0 to
-// the top of the observed score range — reconstruction errors live in
-// [0, 1], the cascade ensemble's fleet band reaches 2). Deployment-time
-// only: it mutates the live threshold, so do not race it against
-// concurrent scoring.
+// best macro-F1 threshold (see sweepThreshold). Deployment-time only: it
+// mutates the live threshold, so do not race it against concurrent
+// scoring.
 func (p *Prodigy) TuneThreshold(ds *pipeline.Dataset) float64 {
 	det := p.det()
-	scores := det.Scores(ds.X)
+	best := sweepThreshold(det.Scores(ds.X), ds.Labels())
+	det.SetThreshold(best)
+	modelThreshold.Set(best)
+	return best
+}
+
+// sweepThreshold is the §5.4.4 sweep: 0.001 increments from 0 to the top
+// of the observed score range (reconstruction errors live in [0, 1], the
+// cascade ensemble's fleet band reaches 2), keeping the best macro-F1
+// threshold. Only finite scores set the top — one +Inf score would make
+// the sweep endless — while non-finite rows still count in every F1.
+func sweepThreshold(scores []float64, truth []int) float64 {
 	hi := 1.0
 	for _, s := range scores {
-		if s > hi {
+		if s > hi && !math.IsInf(s, 1) {
 			hi = s
 		}
 	}
-	best, _ := eval.BestThreshold(scores, ds.Labels(), 0, hi, 0.001)
-	det.SetThreshold(best)
-	modelThreshold.Set(best)
+	best, _ := eval.BestThreshold(scores, truth, 0, hi, 0.001)
 	return best
 }
 
@@ -379,7 +381,7 @@ func (p *Prodigy) ModelKind() string {
 // Evaluate runs detection over a labeled dataset and returns the confusion
 // matrix.
 func (p *Prodigy) Evaluate(ds *pipeline.Dataset) *eval.Confusion {
-	preds, _ := p.Detect(ds.X)
+	preds, _, _ := p.DetectBatch(ds.X)
 	return eval.Evaluate(preds, ds.Labels())
 }
 

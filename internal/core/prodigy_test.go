@@ -156,7 +156,7 @@ func TestExplainReturnsMemoryMetricsForMemleak(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find a detected memleak sample.
-	preds, _ := p.Detect(ds.X)
+	preds, _, _ := p.DetectBatch(ds.X)
 	idx := -1
 	for i, m := range ds.Meta {
 		if m.Anomaly == "memleak" && preds[i] == 1 {
@@ -209,8 +209,8 @@ func TestSaveLoadDetectParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, s1 := p.Detect(ds.X)
-	a2, s2 := loaded.Detect(ds.X)
+	a1, s1, _ := p.DetectBatch(ds.X)
+	a2, s2, _ := loaded.DetectBatch(ds.X)
 	for i := range a1 {
 		if a1[i] != a2[i] || s1[i] != s2[i] {
 			t.Fatal("loaded model disagrees with original")

@@ -113,36 +113,3 @@ func (c *Classifier) Classify(vec []float64) (*Diagnosis, error) {
 	}
 	return &Diagnosis{Type: best, Confidence: bestV, Votes: votes}, nil
 }
-
-// ClassifyBatch diagnoses each row of x.
-func (c *Classifier) ClassifyBatch(x *mat.Matrix) ([]*Diagnosis, error) {
-	out := make([]*Diagnosis, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		d, err := c.Classify(x.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	return out, nil
-}
-
-// Accuracy evaluates the classifier on labeled anomalous samples
-// (leave-as-is evaluation on a held-out set).
-func (c *Classifier) Accuracy(ds *pipeline.Dataset) (float64, error) {
-	idx := ds.AnomalousIndices()
-	if len(idx) == 0 {
-		return 0, fmt.Errorf("diagnose: no anomalous samples to evaluate on")
-	}
-	correct := 0
-	for _, i := range idx {
-		d, err := c.Classify(ds.X.Row(i))
-		if err != nil {
-			return 0, err
-		}
-		if d.Type == ds.Meta[i].Anomaly {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(idx)), nil
-}

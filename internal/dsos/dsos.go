@@ -287,15 +287,3 @@ func alignInto(a *timeseries.Arena, bufs []*buffer, tables []*timeseries.Table) 
 	}
 	return timeseries.AlignSortedInto(a, tables...)
 }
-
-// DeleteJob removes all data of a job, reclaiming memory after analysis.
-func (s *Store) DeleteJob(job int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key := range s.data {
-		if key.job == job {
-			delete(s.data, key)
-		}
-	}
-	delete(s.jobs, job)
-}

@@ -121,19 +121,6 @@ func TestQueryJobAlignsSamplers(t *testing.T) {
 	}
 }
 
-func TestDeleteJob(t *testing.T) {
-	s := NewStore()
-	s.Ingest(row(1, 1, 0, ldms.Meminfo, map[string]float64{"MemFree": 1}))
-	s.Ingest(row(2, 1, 0, ldms.Meminfo, map[string]float64{"MemFree": 1}))
-	s.DeleteJob(1)
-	if len(s.Jobs()) != 1 || s.Jobs()[0] != 2 {
-		t.Fatalf("jobs after delete = %v", s.Jobs())
-	}
-	if s.NumRows() != 1 {
-		t.Fatalf("rows after delete = %d", s.NumRows())
-	}
-}
-
 func TestConcurrentIngest(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup

@@ -540,6 +540,3 @@ func (e *Ensemble) PassFrac() float64 {
 	}
 	return float64(e.rowsPassed.Load()) / float64(seen)
 }
-
-// Margin returns the calibrated pre-filter pass margin.
-func (e *Ensemble) Margin() float64 { return e.margin }

@@ -180,14 +180,17 @@ func KFold(labels []int, k int, rng *rand.Rand) []Fold {
 // possible values between 0 and 1 with 0.001 increments and select the
 // threshold that results in the highest F1-score."
 //
-// lo, hi and step define the sweep; scores outside [lo, hi] are handled by
-// the boundary thresholds.
+// lo, hi and step define the sweep and must be finite, with step > 0;
+// scores outside [lo, hi] are handled by the boundary thresholds.
 func BestThreshold(scores []float64, truth []int, lo, hi, step float64) (best float64, bestF1 float64) {
 	if len(scores) != len(truth) {
 		panic("eval: scores/truth length mismatch")
 	}
 	if step <= 0 {
 		panic("eval: step must be positive")
+	}
+	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
+		panic("eval: sweep bounds must be finite")
 	}
 	best, bestF1 = lo, -1
 	preds := make([]int, len(scores))
@@ -205,18 +208,6 @@ func BestThreshold(scores []float64, truth []int, lo, hi, step float64) (best fl
 		}
 	}
 	return best, bestF1
-}
-
-// Threshold applies a score threshold, returning binary predictions
-// (score > threshold ⇒ 1).
-func Threshold(scores []float64, th float64) []int {
-	preds := make([]int, len(scores))
-	for i, s := range scores {
-		if s > th {
-			preds[i] = 1
-		}
-	}
-	return preds
 }
 
 // AUC returns the area under the ROC curve for anomaly scores against

@@ -188,7 +188,7 @@ func TestBestThreshold(t *testing.T) {
 	if th <= 0.3 || th >= 0.8 {
 		t.Fatalf("threshold = %v, want in (0.3, 0.8)", th)
 	}
-	preds := Threshold(scores, th)
+	preds := threshold(scores, th)
 	for i, p := range preds {
 		if p != truth[i] {
 			t.Fatalf("preds = %v", preds)
@@ -203,6 +203,21 @@ func TestBestThresholdStepValidation(t *testing.T) {
 		}
 	}()
 	BestThreshold([]float64{1}, []int{1}, 0, 1, 0)
+}
+
+// TestBestThresholdBoundsValidation: a non-finite sweep bound is rejected
+// up front, as a non-positive step is — a sweep to +Inf would never end.
+func TestBestThresholdBoundsValidation(t *testing.T) {
+	for _, b := range [][2]float64{{0, math.Inf(1)}, {0, math.NaN()}, {math.Inf(-1), 1}, {math.NaN(), 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for sweep bounds %v", b)
+				}
+			}()
+			BestThreshold([]float64{1}, []int{1}, b[0], b[1], 0.001)
+		}()
+	}
 }
 
 func TestMeanStd(t *testing.T) {
@@ -261,7 +276,7 @@ func TestQuickThresholdOptimality(t *testing.T) {
 		}
 		_, bestF1 := BestThreshold(scores, truth, 0, 1, 0.01)
 		for th := 0.0; th <= 1.0; th += 0.01 {
-			if MacroF1Of(Threshold(scores, th), truth) > bestF1+1e-12 {
+			if MacroF1Of(threshold(scores, th), truth) > bestF1+1e-12 {
 				return false
 			}
 		}
@@ -270,4 +285,16 @@ func TestQuickThresholdOptimality(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// threshold applies a score threshold, returning binary predictions
+// (score > threshold ⇒ 1) — the rule BestThreshold sweeps.
+func threshold(scores []float64, th float64) []int {
+	preds := make([]int, len(scores))
+	for i, s := range scores {
+		if s > th {
+			preds[i] = 1
+		}
+	}
+	return preds
 }

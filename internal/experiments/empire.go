@@ -66,7 +66,7 @@ func RunEmpire(budget Budget, seed int64) (*EmpireResult, error) {
 		return nil, err
 	}
 
-	preds, _ := p.Detect(anomalous.X)
+	preds, _, _ := p.DetectBatch(anomalous.X)
 	detected := 0
 	for _, pr := range preds {
 		detected += pr

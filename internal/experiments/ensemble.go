@@ -144,13 +144,3 @@ func (r *EnsembleResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "  %-8s %-16s %8.3f %8.3f %10s\n", row.System, row.Model, row.F1, row.AUC, pass)
 	}
 }
-
-// RowFor returns the row of one system+model pair, or nil.
-func (r *EnsembleResult) RowFor(system, model string) *EnsembleRow {
-	for i := range r.Rows {
-		if r.Rows[i].System == system && r.Rows[i].Model == model {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}

@@ -124,7 +124,7 @@ func TestSplitCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	train, test := PaperSplit(camp.Dataset, rng)
+	train, test := SplitCapped(camp.Dataset, 0.2, 0.1, rng) // §5.4.2: 20–80, training anomalies ≤ 10%
 	if train.Len()+test.Len() != camp.Dataset.Len() {
 		t.Fatal("split loses samples")
 	}
@@ -405,4 +405,14 @@ func TestAblationKMeansShape(t *testing.T) {
 	if ref <= bestKM {
 		t.Fatalf("Prodigy %v should beat best K-means %v", ref, bestKM)
 	}
+}
+
+// F1Of returns the mean F1 of a method, or -1 when absent.
+func (r *Figure5Result) F1Of(method string) float64 {
+	for _, m := range r.Methods {
+		if m.Method == method {
+			return m.Mean
+		}
+	}
+	return -1
 }

@@ -210,13 +210,3 @@ func (r *Figure5Result) Print(w io.Writer) {
 		fmt.Fprintf(w, "  %-28s %.3f ± %.3f\n", m.Method, m.Mean, m.Std)
 	}
 }
-
-// F1Of returns the mean F1 of a method, or -1 when absent.
-func (r *Figure5Result) F1Of(method string) float64 {
-	for _, m := range r.Methods {
-		if m.Method == method {
-			return m.Mean
-		}
-	}
-	return -1
-}

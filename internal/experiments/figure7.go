@@ -80,7 +80,7 @@ func RunFigure7(budget Budget, seed int64) (*Figure7Result, error) {
 		if m.JobID != chosen || m.Label != pipeline.Anomalous {
 			continue
 		}
-		rowPreds, _ := p.Detect(ds.X.SelectRows([]int{i}))
+		rowPreds, _, _ := p.DetectBatch(ds.X.SelectRows([]int{i}))
 		if rowPreds[0] != 1 {
 			continue
 		}

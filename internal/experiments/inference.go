@@ -74,7 +74,7 @@ func RunInference(system string, budget Budget, runs int, seed int64) (*Inferenc
 	var total time.Duration
 	for r := 0; r < runs; r++ {
 		start := time.Now()
-		p.Detect(batch)
+		p.DetectBatch(batch)
 		total += time.Since(start)
 	}
 	avg := total / time.Duration(runs)

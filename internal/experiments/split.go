@@ -6,14 +6,6 @@ import (
 	"prodigy/internal/pipeline"
 )
 
-// PaperSplit reproduces §5.4.2: a stratified 20–80 train/test split with
-// the training anomaly ratio capped at 10% (excess anomalous training
-// samples move to the test set, preserving the skew the paper reports —
-// e.g. Eclipse's 90%-anomalous test set).
-func PaperSplit(ds *pipeline.Dataset, rng *rand.Rand) (train, test *pipeline.Dataset) {
-	return SplitCapped(ds, 0.2, 0.1, rng)
-}
-
 // SplitCapped performs a stratified trainFrac split and then caps the
 // anomaly ratio of the training set at maxTrainAnomRatio.
 func SplitCapped(ds *pipeline.Dataset, trainFrac, maxTrainAnomRatio float64, rng *rand.Rand) (train, test *pipeline.Dataset) {

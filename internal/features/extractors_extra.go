@@ -208,16 +208,6 @@ func exEnergyRatioHalves(x, dst []float64, _ *Workspace) {
 	dst[0] = second / (first + second)
 }
 
-// partialAutocorrelation returns PACF values for lags 1..maxLag via
-// Levinson-Durbin: the PACF at lag k is the k-th reflection coefficient.
-func partialAutocorrelation(x []float64, maxLag int) []float64 {
-	out := make([]float64, maxLag)
-	r := make([]float64, maxLag+1)
-	a := make([]float64, maxLag+1)
-	arFit(x, r, a, out)
-	return out
-}
-
 // corridorChanges accumulates |diff(x)| over consecutive pairs lying inside
 // [lo, hi] into buf (len(x)-1 capacity suffices) and returns the mean and
 // std of the collected changes.
@@ -232,18 +222,6 @@ func corridorChanges(x []float64, lo, hi float64, buf []float64) (meanAbs, stdAb
 		return 0, 0
 	}
 	return mat.Mean(changes), mat.Std(changes)
-}
-
-// changeQuantiles returns the mean and std of |diff(x)| restricted to
-// consecutive pairs whose values both lie inside the [ql, qh] quantile
-// corridor (TSFRESH's change_quantiles with isabs=true).
-func changeQuantiles(x []float64, ql, qh float64) (meanAbs, stdAbs float64) {
-	if len(x) < 2 {
-		return 0, 0
-	}
-	lo := mat.Percentile(x, ql*100)
-	hi := mat.Percentile(x, qh*100)
-	return corridorChanges(x, lo, hi, make([]float64, 0, len(x)-1))
 }
 
 // longestMonotoneRuns returns the longest strictly increasing and strictly

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// pacfOf runs the registered partial_autocorrelation extractor on x.
+func pacfOf(x []float64) []float64 {
+	out := make([]float64, pacfMaxLag)
+	exPartialAutocorrelation(x, out, NewWorkspace())
+	return out
+}
+
 func TestPartialAutocorrelationAR1(t *testing.T) {
 	// AR(1) with φ=0.6: PACF(1)≈0.6, PACF(k>1)≈0.
 	rng := rand.New(rand.NewSource(1))
@@ -14,43 +21,54 @@ func TestPartialAutocorrelationAR1(t *testing.T) {
 	for i := 1; i < n; i++ {
 		x[i] = 0.6*x[i-1] + rng.NormFloat64()
 	}
-	pacf := partialAutocorrelation(x, 5)
+	pacf := pacfOf(x)
 	if math.Abs(pacf[0]-0.6) > 0.05 {
 		t.Fatalf("PACF(1) = %v, want ~0.6", pacf[0])
 	}
-	for lag := 2; lag <= 5; lag++ {
+	for lag := 2; lag <= pacfMaxLag; lag++ {
 		if math.Abs(pacf[lag-1]) > 0.08 {
 			t.Fatalf("PACF(%d) = %v, want ~0", lag, pacf[lag-1])
 		}
 	}
 	// Degenerate inputs give zeros.
-	if v := partialAutocorrelation([]float64{1, 2}, 5); v[0] != 0 {
+	if v := pacfOf([]float64{1, 2}); v[0] != 0 {
 		t.Fatal("short series PACF should be zero")
 	}
-	if v := partialAutocorrelation([]float64{3, 3, 3, 3, 3, 3, 3, 3}, 5); v[0] != 0 {
+	if v := pacfOf([]float64{3, 3, 3, 3, 3, 3, 3, 3}); v[0] != 0 {
 		t.Fatal("constant series PACF should be zero")
 	}
 }
 
+// changeQuantilesOf runs the registered change_quantiles extractor on x:
+// a (mean, std) pair of |diff(x)| per corridor of cqCorridors.
+func changeQuantilesOf(x []float64) []float64 {
+	out := make([]float64, 2*len(cqCorridors))
+	exChangeQuantiles(x, out, NewWorkspace())
+	return out
+}
+
 func TestChangeQuantiles(t *testing.T) {
 	// Constant series: no changes anywhere.
-	m, s := changeQuantiles([]float64{5, 5, 5, 5}, 0, 1)
-	if m != 0 || s != 0 {
-		t.Fatalf("constant change quantiles = %v %v", m, s)
+	for i, v := range changeQuantilesOf([]float64{5, 5, 5, 5}) {
+		if v != 0 {
+			t.Fatalf("constant change quantiles[%d] = %v", i, v)
+		}
 	}
-	// A series with small changes in the low corridor and a big jump at
-	// the top: restricting to the lower corridor excludes the jump.
+	// A series with small changes inside the [0.2, 0.8] corridor (values 1
+	// and 2) and a big jump at the top: the corridor excludes the jump.
 	x := []float64{1, 2, 1, 2, 1, 100}
-	mLow, _ := changeQuantiles(x, 0, 0.6)
-	if math.Abs(mLow-1) > 1e-9 {
-		t.Fatalf("low-corridor mean change = %v, want 1", mLow)
+	const i = 2
+	if cqCorridors[i] != [2]float64{0.2, 0.8} {
+		t.Fatalf("corridor %d is %v, want [0.2 0.8]", i, cqCorridors[i])
 	}
-	mAll, _ := changeQuantiles(x, 0, 1)
-	if mAll <= mLow {
-		t.Fatalf("full corridor %v should include the jump (low %v)", mAll, mLow)
+	got := changeQuantilesOf(x)
+	if m, s := got[2*i], got[2*i+1]; math.Abs(m-1) > 1e-9 || s != 0 {
+		t.Fatalf("[0.2, 0.8] corridor mean/std change = %v/%v, want 1/0", m, s)
 	}
-	if m, s := changeQuantiles([]float64{1}, 0, 1); m != 0 || s != 0 {
-		t.Fatal("single point should be 0")
+	for i, v := range changeQuantilesOf([]float64{1}) {
+		if v != 0 {
+			t.Fatalf("single point change quantiles[%d] = %v, want 0", i, v)
+		}
 	}
 }
 

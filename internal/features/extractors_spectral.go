@@ -154,11 +154,3 @@ func periodogramInto(p, x []float64) {
 		p[k] = re*re + im*im
 	}
 }
-
-// periodogram returns the bins-length periodogram of x. The result always
-// has exactly bins entries, padding with zero power for short series.
-func periodogram(x []float64, bins int) []float64 {
-	p := make([]float64, bins)
-	periodogramInto(p, x)
-	return p
-}

@@ -228,16 +228,3 @@ func arFit(x []float64, r, a, pacf []float64) bool {
 	}
 	return true
 }
-
-// yuleWalker estimates AR(p) coefficients by solving the Yule-Walker
-// equations with Levinson-Durbin recursion. Returns p coefficients, or
-// zeros when the series is too short or has no variance.
-func yuleWalker(x []float64, p int) []float64 {
-	coefs := make([]float64, p)
-	r := make([]float64, p+1)
-	a := make([]float64, p+1)
-	if arFit(x, r, a, nil) {
-		copy(coefs, a[1:])
-	}
-	return coefs
-}

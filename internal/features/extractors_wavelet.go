@@ -103,74 +103,3 @@ func exHaarDetailStd(x, dst []float64, ws *Workspace) {
 		n = h
 	}
 }
-
-// haarStep performs one Haar DWT level: approximation (pairwise averages ×
-// √2) and detail (pairwise differences × 1/√2 scaling convention chosen so
-// energy is preserved).
-func haarStep(x []float64) (approx, detail []float64) {
-	n := len(x) / 2
-	approx = make([]float64, n)
-	detail = make([]float64, n)
-	for i := 0; i < n; i++ {
-		approx[i] = (x[2*i] + x[2*i+1]) * invSqrt2
-		detail[i] = (x[2*i] - x[2*i+1]) * invSqrt2
-	}
-	return approx, detail
-}
-
-// haarEnergies returns the detail energy per level (0 = finest) plus the
-// remaining approximation energy. The mean is removed first so the DC
-// offset does not drown the decomposition. Levels beyond what the series
-// length supports are simply absent.
-func haarEnergies(x []float64, levels int) (details []float64, approxEnergy float64) {
-	if len(x) < 2 {
-		return nil, 0
-	}
-	work := make([]float64, len(x))
-	m := 0.0
-	for _, v := range x {
-		m += v
-	}
-	m /= float64(len(x))
-	for i, v := range x {
-		work[i] = v - m
-	}
-	for lvl := 0; lvl < levels && len(work) >= 2; lvl++ {
-		approx, detail := haarStep(work)
-		e := 0.0
-		for _, d := range detail {
-			e += d * d
-		}
-		details = append(details, e)
-		work = approx
-	}
-	for _, a := range work {
-		approxEnergy += a * a
-	}
-	return details, approxEnergy
-}
-
-// haarDetailStds returns the standard deviation of each detail level.
-func haarDetailStds(x []float64, levels int) []float64 {
-	if len(x) < 2 {
-		return nil
-	}
-	work := make([]float64, len(x))
-	copy(work, x)
-	var out []float64
-	for lvl := 0; lvl < levels && len(work) >= 2; lvl++ {
-		approx, detail := haarStep(work)
-		mean := 0.0
-		for _, d := range detail {
-			mean += d
-		}
-		mean /= float64(len(detail))
-		varSum := 0.0
-		for _, d := range detail {
-			varSum += (d - mean) * (d - mean)
-		}
-		out = append(out, math.Sqrt(varSum/float64(len(detail))))
-		work = approx
-	}
-	return out
-}

@@ -12,8 +12,7 @@
 // The hot path is destination-passing: ExtractSeriesInto / ExtractTableInto
 // write into caller-owned slices at offsets precomputed by New, drawing all
 // scratch space from a pooled Workspace, so steady-state extraction performs
-// no allocations. ExtractTable remains as the cold-path convenience form
-// that returns fresh slices.
+// no allocations.
 package features
 
 import (
@@ -185,19 +184,9 @@ func (c *Catalog) ExtractTableInto(dst []float64, t *timeseries.Table) {
 	wg.Wait()
 }
 
-// ExtractTable runs the catalog over every metric column of t and returns
-// the namespaced feature names ("metric__feature") and the flat feature
-// vector, ordered by t.Order then catalog order. Prefer ExtractTableInto
-// plus TableFeatureNames on hot paths: names rarely change between calls,
-// and this wrapper rebuilds them every time.
-func (c *Catalog) ExtractTable(t *timeseries.Table) ([]string, []float64) {
-	values := make([]float64, t.NumMetrics()*len(c.names))
-	c.ExtractTableInto(values, t)
-	return c.TableFeatureNames(t.Order), values
-}
-
-// TableFeatureNames returns the namespaced names ExtractTable would produce
-// for a table with the given metric order, without extracting anything.
+// TableFeatureNames returns the namespaced names ("metric__feature") of the
+// vector ExtractTableInto writes for a table with the given metric order,
+// without extracting anything.
 func (c *Catalog) TableFeatureNames(metricOrder []string) []string {
 	per := c.SeriesFeatureNames()
 	out := make([]string, 0, len(metricOrder)*len(per))

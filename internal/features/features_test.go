@@ -275,7 +275,8 @@ func TestYuleWalkerRecoversAR1(t *testing.T) {
 	for i := 1; i < n; i++ {
 		x[i] = 0.7*x[i-1] + rng.NormFloat64()
 	}
-	coefs := yuleWalker(x, 4)
+	coefs := make([]float64, arOrder)
+	exARCoefficient(x, coefs, NewWorkspace())
 	if math.Abs(coefs[0]-0.7) > 0.05 {
 		t.Fatalf("AR(1) coefficient = %v, want ~0.7", coefs[0])
 	}
@@ -318,7 +319,9 @@ func TestExtractTableNamesAndShape(t *testing.T) {
 	tb.AddColumn("MemFree::meminfo", []float64{5, 4, 3, 2, 1})
 	tb.AddColumn("pgrotated::vmstat", []float64{0, 0, 1, 0, 0})
 	cat := Minimal()
-	names, vals := cat.ExtractTable(tb)
+	vals := make([]float64, tb.NumMetrics()*cat.NumFeaturesPerSeries())
+	cat.ExtractTableInto(vals, tb)
+	names := cat.TableFeatureNames(tb.Order)
 	if len(names) != len(vals) {
 		t.Fatal("names/values length mismatch")
 	}
@@ -346,15 +349,24 @@ func TestTableFeatureNamesMatchesExtract(t *testing.T) {
 	tb.AddColumn("a", []float64{1, 2, 3})
 	tb.AddColumn("b", []float64{3, 2, 1})
 	cat := Minimal()
-	extracted, _ := cat.ExtractTable(tb)
-	precomputed := cat.TableFeatureNames(tb.Order)
-	if len(extracted) != len(precomputed) {
+	vals := make([]float64, tb.NumMetrics()*cat.NumFeaturesPerSeries())
+	cat.ExtractTableInto(vals, tb)
+	names := cat.TableFeatureNames(tb.Order)
+	if len(names) != len(vals) {
 		t.Fatal("length mismatch")
 	}
-	for i := range extracted {
-		if extracted[i] != precomputed[i] {
-			t.Fatalf("name %d: %q vs %q", i, extracted[i], precomputed[i])
+	// Each name indexes the value ExtractTableInto wrote for it.
+	want := map[string]float64{"a__mean": 2, "b__mean": 2, "a__maximum": 3, "b__maximum": 3, "a__minimum": 1}
+	for i, n := range names {
+		if w, ok := want[n]; ok {
+			if vals[i] != w {
+				t.Fatalf("%s = %v, want %v", n, vals[i], w)
+			}
+			delete(want, n)
 		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("names missing from the table layout: %v", want)
 	}
 }
 

@@ -56,15 +56,6 @@ func (c *Catalog) Plan(indices []int, numMetrics int) (*Plan, error) {
 	return p, nil
 }
 
-// Cells returns how many (metric, extractor) cells the plan runs.
-func (p *Plan) Cells() int {
-	n := 0
-	for _, ex := range p.Extractors {
-		n += len(ex)
-	}
-	return n
-}
-
 // ExtractPlanInto runs the planned cells over t, writing into dst — the
 // table's full feature vector, laid out as ExtractTableInto lays it out.
 // Cells outside the plan are neither written nor cleared, so dst may be a

@@ -222,25 +222,6 @@ func (i IODegrade) Apply(d *apps.Drivers, t, total int64, rng *rand.Rand) {
 	d.PgInodeSteal += 50 * s * rng.Float64()
 }
 
-// NetContend simulates network contention: heavy softirq/sys time and
-// context switching from packet processing.
-type NetContend struct{}
-
-// Name implements Injector.
-func (NetContend) Name() string { return "netcontend" }
-
-// Config implements Injector.
-func (NetContend) Config() string { return "" }
-
-// Apply implements Injector.
-func (NetContend) Apply(d *apps.Drivers, t, total int64, rng *rand.Rand) {
-	d.SoftIRQ += 0.15
-	d.Sys += 0.1
-	d.Ctxt += 12000 * (1 + 0.2*rng.Float64())
-	d.Intr += 8000
-	d.User *= 0.85
-}
-
 func min1(v float64) float64 {
 	if v > 1 {
 		return 1

@@ -112,15 +112,6 @@ func TestIODegradeThrottlesIO(t *testing.T) {
 	}
 }
 
-func TestNetContendShiftsToSoftIRQ(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	d := baseDrivers()
-	NetContend{}.Apply(&d, 10, 100, rng)
-	if d.SoftIRQ <= baseDrivers().SoftIRQ || d.User >= baseDrivers().User {
-		t.Fatal("netcontend must raise softirq and squeeze user time")
-	}
-}
-
 func TestTable2Inventory(t *testing.T) {
 	t2 := Table2()
 	wantCounts := map[string]int{"cpuoccupy": 2, "cachecopy": 2, "membw": 3, "memleak": 3}

@@ -39,19 +39,12 @@ func TestQualifiedNameFormat(t *testing.T) {
 }
 
 func TestSchemaBySampler(t *testing.T) {
-	mem := SchemaBySampler(Meminfo)
-	for _, d := range mem {
-		if d.Sampler != Meminfo {
-			t.Fatal("wrong sampler in subset")
-		}
-		if d.Accumulated {
-			t.Fatal("meminfo metrics are gauges")
-		}
-	}
-	proc := SchemaBySampler(Procstat)
 	accum := 0
-	for _, d := range proc {
-		if d.Accumulated {
+	for _, d := range Schema() {
+		switch {
+		case d.Sampler == Meminfo && d.Accumulated:
+			t.Fatalf("meminfo metric %s must be a gauge", d.Name)
+		case d.Sampler == Procstat && d.Accumulated:
 			accum++
 		}
 	}

@@ -146,17 +146,6 @@ func Schema() []MetricDef {
 	return defs
 }
 
-// SchemaBySampler returns the subset of the schema belonging to one sampler.
-func SchemaBySampler(s SamplerName) []MetricDef {
-	var out []MetricDef
-	for _, d := range Schema() {
-		if d.Sampler == s {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // AccumulatedNames returns the qualified names of all accumulated counters
 // (CPU and GPU samplers), the list the preprocessing stage
 // first-differences. Differencing ignores absent columns, so including the

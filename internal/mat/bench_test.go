@@ -6,15 +6,18 @@ import (
 )
 
 // The matmul benchmarks measure the destination-passing kernels with a
-// reused output: the steady-state shape of the inference hot path.
+// reused output: the steady-state shape of the inference hot path. The
+// MatMulInto entries time the plain product, MatMulBiasInto with a zero
+// bias.
 func benchmarkMatMulInto(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(n, n, 1, rng)
 	y := Randn(n, n, 1, rng)
+	bias := make([]float64, n)
 	dst := New(n, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
+		MatMulBiasInto(dst, x, y, bias)
 	}
 }
 
@@ -33,6 +36,8 @@ func BenchmarkMatMulTInto128(b *testing.B) {
 	}
 }
 
+// BenchmarkTMatMulInto128 times the gradient kernel TMatMulAccInto; the
+// accumulating destination is never reset, which costs the kernel nothing.
 func BenchmarkTMatMulInto128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(128, 128, 1, rng)
@@ -40,7 +45,7 @@ func BenchmarkTMatMulInto128(b *testing.B) {
 	dst := New(128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TMatMulInto(dst, x, y)
+		TMatMulAccInto(dst, x, y)
 	}
 }
 

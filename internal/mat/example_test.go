@@ -6,10 +6,10 @@ import (
 	"prodigy/internal/mat"
 )
 
-func ExampleMatMulInto() {
+func ExampleMatMulBiasInto() {
 	a := mat.FromRows([][]float64{{1, 2}, {3, 4}})
 	b := mat.FromRows([][]float64{{5, 6}, {7, 8}})
-	c := mat.MatMulInto(&mat.Matrix{}, a, b)
+	c := mat.MatMulBiasInto(&mat.Matrix{}, a, b, []float64{0, 0})
 	fmt.Println(c.Row(0), c.Row(1))
 	// Output: [19 22] [43 50]
 }

@@ -131,16 +131,9 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// MatMulInto computes dst = a×b, reshaping dst to a.Rows×b.Cols. It panics
-// if the inner dimensions disagree or dst aliases an operand. Large
-// products fan out over row blocks.
-func MatMulInto(dst, a, b *Matrix) *Matrix {
-	return matMulBias(dst, a, b, nil)
-}
-
 // MatMulBiasInto computes dst = a×b with bias (length b.Cols) added to
-// every output row — the fused affine kernel behind Dense layers, saving
-// the separate broadcast pass and temporary of MatMulInto + AddRowVectorInto.
+// every output row — the fused affine kernel behind Dense layers. A zero
+// bias gives the plain product.
 func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	if len(bias) != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulBiasInto bias length %d != cols %d", len(bias), b.Cols))
@@ -152,7 +145,7 @@ func matMulBias(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MatMul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	checkNoAlias("MatMulInto", dst, a, b)
+	checkNoAlias("MatMulBiasInto", dst, a, b)
 	dst.reshape(a.Rows, b.Cols)
 	workers := workerCount(a.Rows, a.Rows*a.Cols*b.Cols)
 	if workers <= 1 {
@@ -316,24 +309,6 @@ func matMulTRange(a, b, dst *Matrix, lo, hi int) {
 	}
 }
 
-// TMatMulInto computes dst = aᵀ×b without materializing the transpose,
-// reshaping dst to a.Cols×b.Cols. Parallelism splits the output rows
-// (a's columns): shape-aware, so a tall-skinny a — the gradient shape,
-// many samples × few units — caps the fan-out at a.Cols instead of
-// shredding the shared k dimension.
-func TMatMulInto(dst, a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: TMatMul shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkNoAlias("TMatMulInto", dst, a, b)
-	dst.reshape(a.Cols, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	tMatMulAcc(dst, a, b)
-	return dst
-}
-
 // TMatMulAccInto computes dst += aᵀ×b. dst must already have shape
 // a.Cols×b.Cols — accumulation never reshapes. This is the gradient
 // kernel: W.Grad += xᵀ·gradOut with no temporary.
@@ -432,17 +407,6 @@ func AddInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// SubInto computes dst = a−b element-wise. dst may alias a or b.
-func SubInto(dst, a, b *Matrix) *Matrix {
-	checkSameShapeInto("SubInto", a, b)
-	dst.reshape(a.Rows, a.Cols)
-	bd := b.Data
-	for i, v := range a.Data {
-		dst.Data[i] = v - bd[i]
-	}
-	return dst
-}
-
 // MulInto computes the element-wise (Hadamard) product dst = a∘b. dst may
 // alias a or b.
 func MulInto(dst, a, b *Matrix) *Matrix {
@@ -461,23 +425,6 @@ func (m *Matrix) ApplyInto(dst *Matrix, f func(float64) float64) *Matrix {
 	dst.reshape(m.Rows, m.Cols)
 	for i, v := range m.Data {
 		dst.Data[i] = f(v)
-	}
-	return dst
-}
-
-// AddRowVectorInto writes m with v (length Cols) added to every row into
-// dst — the bias broadcast. dst may alias m.
-func (m *Matrix) AddRowVectorInto(dst *Matrix, v []float64) *Matrix {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("mat: AddRowVector length %d != cols %d", len(v), m.Cols))
-	}
-	dst.reshape(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		orow := dst.Row(i)
-		for j, x := range row {
-			orow[j] = x + v[j]
-		}
 	}
 	return dst
 }

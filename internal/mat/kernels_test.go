@@ -7,9 +7,7 @@ import (
 )
 
 // naiveMatMul is the reference jik triple loop: no tiling, no zero-skip, no
-// parallelism. The tiled kernels must agree with it to float tolerance, and
-// MatMulInto/TMatMulInto (whose k order the tiling preserves exactly)
-// bit-for-bit.
+// parallelism. The tiled kernels must agree with it to float tolerance.
 func naiveMatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -48,9 +46,9 @@ func TestMatMulIntoAgainstNaive(t *testing.T) {
 	for _, s := range kernelShapes {
 		a, b := randMat(s.m, s.k, rng), randMat(s.k, s.n, rng)
 		want := naiveMatMul(a, b)
-		got := MatMulInto(&Matrix{}, a, b)
+		got := matMul(a, b)
 		if !Equal(want, got, 1e-9) {
-			t.Fatalf("MatMulInto %dx%dx%d disagrees with naive", s.m, s.k, s.n)
+			t.Fatalf("MatMulBiasInto (zero bias) %dx%dx%d disagrees with naive", s.m, s.k, s.n)
 		}
 	}
 }
@@ -59,7 +57,7 @@ func TestMatMulTIntoAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, s := range kernelShapes {
 		a, b := randMat(s.m, s.k, rng), randMat(s.n, s.k, rng)
-		want := naiveMatMul(a, b.T())
+		want := naiveMatMul(a, transpose(b))
 		got := MatMulTInto(&Matrix{}, a, b)
 		if !Equal(want, got, 1e-9) {
 			t.Fatalf("MatMulTInto %dx%dx%d disagrees with naive", s.m, s.k, s.n)
@@ -71,10 +69,10 @@ func TestTMatMulIntoAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, s := range kernelShapes {
 		a, b := randMat(s.k, s.m, rng), randMat(s.k, s.n, rng)
-		want := naiveMatMul(a.T(), b)
-		got := TMatMulInto(&Matrix{}, a, b)
+		want := naiveMatMul(transpose(a), b)
+		got := tMatMul(a, b)
 		if !Equal(want, got, 1e-9) {
-			t.Fatalf("TMatMulInto %dx%dx%d disagrees with naive", s.m, s.k, s.n)
+			t.Fatalf("TMatMulAccInto %dx%dx%d disagrees with naive", s.m, s.k, s.n)
 		}
 	}
 }
@@ -143,11 +141,15 @@ func TestMatMulBiasIntoMatchesTwoStep(t *testing.T) {
 	for i := range bias {
 		bias[i] = rng.NormFloat64()
 	}
-	want := MatMulInto(&Matrix{}, a, b)
-	want.AddRowVectorInto(want, bias)
+	want := matMul(a, b)
+	for i := 0; i < want.Rows; i++ {
+		for j, v := range bias {
+			want.Data[i*want.Cols+j] += v
+		}
+	}
 	got := MatMulBiasInto(&Matrix{}, a, b, bias)
 	if !Equal(want, got, 1e-12) {
-		t.Fatal("MatMulBiasInto disagrees with MatMulInto+AddRowVectorInto")
+		t.Fatal("MatMulBiasInto disagrees with the product plus a separate bias pass")
 	}
 }
 
@@ -157,7 +159,7 @@ func TestTMatMulAccIntoAccumulates(t *testing.T) {
 	dst := Randn(5, 7, 1, rng)
 	base := dst.Clone()
 	TMatMulAccInto(dst, a, b)
-	want := AddInto(&Matrix{}, base, TMatMulInto(&Matrix{}, a, b))
+	want := AddInto(&Matrix{}, base, tMatMul(a, b))
 	if !Equal(want, dst, 1e-12) {
 		t.Fatal("TMatMulAccInto did not accumulate aᵀ×b into dst")
 	}
@@ -168,17 +170,17 @@ func TestIntoKernelsReuseCapacity(t *testing.T) {
 	a, b := randMat(8, 6, rng), randMat(6, 10, rng)
 	dst := &Matrix{Data: make([]float64, 0, 128)}
 	backing := &dst.Data[:1][0]
-	MatMulInto(dst, a, b)
+	MatMulBiasInto(dst, a, b, make([]float64, b.Cols))
 	if &dst.Data[0] != backing {
-		t.Fatal("MatMulInto reallocated despite sufficient capacity")
+		t.Fatal("MatMulBiasInto reallocated despite sufficient capacity")
 	}
 	if dst.Rows != 8 || dst.Cols != 10 {
 		t.Fatalf("dst reshaped to %dx%d", dst.Rows, dst.Cols)
 	}
 	// Shrinking reuse: a smaller product into the same dst keeps the array.
-	SubInto(dst, a, a)
+	AddInto(dst, a, a)
 	if &dst.Data[0] != backing {
-		t.Fatal("SubInto reallocated despite sufficient capacity")
+		t.Fatal("AddInto reallocated despite sufficient capacity")
 	}
 }
 
@@ -189,7 +191,7 @@ func TestMatMulIntoAliasPanics(t *testing.T) {
 			t.Fatal("expected alias panic")
 		}
 	}()
-	MatMulInto(a, a, a)
+	MatMulBiasInto(a, a, a, make([]float64, 4))
 }
 
 func TestSelectRowsIntoAliasPanics(t *testing.T) {
@@ -228,12 +230,18 @@ func TestSelectIntoAndAddRowVectorInto(t *testing.T) {
 	if !Equal(m.SelectCols(idx), m.SelectColsInto(&Matrix{}, idx), 0) {
 		t.Fatal("SelectColsInto disagrees with SelectCols")
 	}
+	// The row-vector broadcast lives in MatMulBiasInto: against the
+	// identity it adds v to every row exactly.
 	v := []float64{1, 2, 3, 4, 5}
-	got := m.AddRowVectorInto(&Matrix{}, v)
+	eye := New(5, 5)
+	for i := 0; i < 5; i++ {
+		eye.Set(i, i, 1)
+	}
+	got := MatMulBiasInto(&Matrix{}, m, eye, v)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			if got.At(i, j) != m.At(i, j)+v[j] {
-				t.Fatalf("AddRowVectorInto[%d,%d] = %v, want %v", i, j, got.At(i, j), m.At(i, j)+v[j])
+				t.Fatalf("MatMulBiasInto(m, I, v)[%d,%d] = %v, want %v", i, j, got.At(i, j), m.At(i, j)+v[j])
 			}
 		}
 	}
@@ -260,12 +268,12 @@ func TestSumRowsAccInto(t *testing.T) {
 func TestIntoShapeMismatchPanics(t *testing.T) {
 	a, b := New(2, 3), New(4, 5)
 	for name, fn := range map[string]func(){
-		"MatMulInto":     func() { MatMulInto(&Matrix{}, a, b) },
-		"MatMulTInto":    func() { MatMulTInto(&Matrix{}, a, b) },
-		"TMatMulInto":    func() { TMatMulInto(&Matrix{}, a, b) },
-		"AddInto":        func() { AddInto(&Matrix{}, a, b) },
-		"TMatMulAccInto": func() { TMatMulAccInto(New(1, 1), New(2, 3), New(2, 5)) },
-		"MatMulBiasInto": func() { MatMulBiasInto(&Matrix{}, New(2, 3), New(3, 4), []float64{1}) },
+		"MatMulBiasInto":      func() { MatMulBiasInto(&Matrix{}, a, b, make([]float64, 5)) },
+		"MatMulTInto":         func() { MatMulTInto(&Matrix{}, a, b) },
+		"TMatMulAccInto":      func() { TMatMulAccInto(New(3, 5), a, b) },
+		"AddInto":             func() { AddInto(&Matrix{}, a, b) },
+		"TMatMulAccInto dst":  func() { TMatMulAccInto(New(1, 1), New(2, 3), New(2, 5)) },
+		"MatMulBiasInto bias": func() { MatMulBiasInto(&Matrix{}, New(2, 3), New(3, 4), []float64{1}) },
 	} {
 		func() {
 			defer func() {
@@ -347,12 +355,11 @@ func TestWorkspacePoolRoundTrip(t *testing.T) {
 func TestWarmIntoKernelsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a, b := randMat(16, 32, rng), randMat(32, 24, rng)
-	bt := b.T()
+	bt := transpose(b)
 	bias := make([]float64, 24)
 	dst := &Matrix{}
-	MatMulInto(dst, a, b) // warm
+	MatMulBiasInto(dst, a, b, bias) // warm
 	if n := testing.AllocsPerRun(50, func() {
-		MatMulInto(dst, a, b)
 		MatMulBiasInto(dst, a, b, bias)
 		MatMulTInto(dst, a, bt)
 		AddInto(dst, dst, dst)

@@ -5,8 +5,8 @@
 //
 // Arithmetic kernels are destination-passing (kernels.go): they write into
 // a matrix the caller owns, usually drawn from a Workspace. The remaining
-// allocating helpers are constructors and cold-path reshapes (Clone, T,
-// SelectRows, VStack). Nothing retains the caller's slices except the
+// allocating helpers are constructors and cold-path copies (Clone,
+// SelectRows). Nothing retains the caller's slices except the
 // documented zero-copy constructors.
 package mat
 
@@ -46,6 +46,8 @@ func NewFromData(rows, cols int, data []float64) *Matrix {
 }
 
 // FromRows builds a matrix by copying a slice of equal-length rows.
+//
+//lint:ignore deadcode literal-matrix fixture of the mat, nn, scale, featsel, lof and kmeans tests and examples
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 {
 		return New(0, 0)
@@ -62,6 +64,8 @@ func FromRows(rows [][]float64) *Matrix {
 }
 
 // Randn returns a matrix with entries drawn from N(0, std²) using rng.
+//
+//lint:ignore deadcode random-matrix fixture of the mat, nn, vae, scale, baselines and root benchmark tests
 func Randn(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 	return RandnInto(New(rows, cols), std, rng)
 }
@@ -80,11 +84,6 @@ func (m *Matrix) RowCopy(i int) []float64 {
 	out := make([]float64, m.Cols)
 	copy(out, m.Row(i))
 	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	return m.ColInto(make([]float64, m.Rows), j)
 }
 
 // ColInto copies column j into dst, which must have length m.Rows. It is
@@ -106,21 +105,6 @@ func (m *Matrix) Clone() *Matrix {
 	copy(out.Data, m.Data)
 	return out
 }
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
-}
-
-// Shape returns the (rows, cols) pair.
-func (m *Matrix) Shape() (int, int) { return m.Rows, m.Cols }
 
 // SameShape reports whether m and n have identical dimensions.
 func (m *Matrix) SameShape(n *Matrix) bool { return m.Rows == n.Rows && m.Cols == n.Cols }
@@ -169,33 +153,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// ApplyInPlace applies f to every element of m.
-func (m *Matrix) ApplyInPlace(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
-// Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute value in m, or 0 for an empty matrix.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // SelectRows returns a new matrix containing the rows of m at the given
 // indices, in order.
 func (m *Matrix) SelectRows(idx []int) *Matrix {
@@ -208,30 +165,10 @@ func (m *Matrix) SelectCols(idx []int) *Matrix {
 	return m.SelectColsInto(&Matrix{}, idx)
 }
 
-// VStack concatenates matrices vertically. All inputs must share Cols.
-func VStack(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("mat: VStack column mismatch %d vs %d", cols, m.Cols))
-		}
-		rows += m.Rows
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.Data[off:], m.Data)
-		off += len(m.Data)
-	}
-	return out
-}
-
 // Equal reports whether a and b have the same shape and all elements are
 // within tol of each other.
+//
+//lint:ignore deadcode tolerance comparison of the mat, nn, scale and pipeline tests
 func Equal(a, b *Matrix, tol float64) bool {
 	if !a.SameShape(b) {
 		return false

@@ -27,15 +27,6 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // EuclideanDistance returns the L2 distance between a and b.
 func EuclideanDistance(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -180,9 +171,6 @@ func PercentileSorted(s []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Median returns the 50th percentile of v.
-func Median(v []float64) float64 { return Percentile(v, 50) }
-
 // MedianSorted returns the 50th percentile of an ascending-sorted slice.
 func MedianSorted(s []float64) float64 { return PercentileSorted(s, 50) }
 
@@ -226,19 +214,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Linspace returns n evenly spaced values from start to stop inclusive.
-// n must be at least 2.
-func Linspace(start, stop float64, n int) []float64 {
-	if n < 2 {
-		panic("mat: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (stop - start) / float64(n-1)
-	for i := range out {
-		out[i] = start + float64(i)*step
-	}
-	out[n-1] = stop
-	return out
 }

@@ -48,7 +48,7 @@ func TestTrainStepZeroAllocsSteadyState(t *testing.T) {
 	for i := range batch {
 		batch[i] = i * 3
 	}
-	// One full minibatch step, exactly as Train's inner loop runs it.
+	// One full minibatch step, as the VAE and USAD fit loops run it.
 	step := func() {
 		x.SelectRowsInto(xb, batch)
 		y.SelectRowsInto(yb, batch)
@@ -63,58 +63,5 @@ func TestTrainStepZeroAllocsSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, step)
 	if allocs != 0 {
 		t.Fatalf("steady-state training step: %v allocs, want 0", allocs)
-	}
-}
-
-// TestTrainMatchesIntoPath guards Train's loop machinery (shuffling,
-// sharding, buffer reuse, BackwardParamsInto): it must produce the same
-// weights as a straight-line reference loop run from the same seed, which
-// gives every minibatch a fresh workspace and runs the plain
-// ForwardInto/BackwardInto pair.
-func TestTrainMatchesIntoPath(t *testing.T) {
-	build := func() *Network {
-		rng := rand.New(rand.NewSource(7))
-		net, err := NewMLP([]int{8, 6, 8}, "tanh", "", rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-	dataRng := rand.New(rand.NewSource(8))
-	x := mat.Randn(40, 8, 1, dataRng)
-
-	trained := build()
-	if _, err := Train(trained, x, x, MSELoss{}, NewSGD(0.05), TrainConfig{Epochs: 5, BatchSize: 16}, rand.New(rand.NewSource(9))); err != nil {
-		t.Fatal(err)
-	}
-
-	ref := build()
-	refOpt := NewSGD(0.05)
-	rng := rand.New(rand.NewSource(9))
-	idx := make([]int, x.Rows)
-	for i := range idx {
-		idx[i] = i
-	}
-	for epoch := 0; epoch < 5; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for start := 0; start < len(idx); start += 16 {
-			end := start + 16
-			if end > len(idx) {
-				end = len(idx)
-			}
-			xb := x.SelectRows(idx[start:end])
-			ws := mat.NewWorkspace()
-			pred := ref.ForwardInto(xb, ws)
-			_, grad := MSELoss{}.Compute(pred, xb)
-			ref.BackwardInto(grad, ws)
-			refOpt.Step(ref.Params())
-		}
-	}
-
-	tp, rp := trained.Params(), ref.Params()
-	for i := range tp {
-		if !mat.Equal(tp[i].Value, rp[i].Value, 0) {
-			t.Fatalf("param %d diverged between Train and reference loop", i)
-		}
 	}
 }

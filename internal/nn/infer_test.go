@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -77,29 +76,5 @@ func TestConcurrentInfer(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
-	}
-}
-
-// TestTrainEpochLossWeighsPartialBatch pins the per-sample semantics of the
-// reported epoch loss: with a frozen network (zero learning rate) the final
-// loss must equal the loss over the full dataset, even when the batch size
-// does not divide the sample count. Equal-weight batch averaging would
-// over-weight the partial final batch and fail this.
-func TestTrainEpochLossWeighsPartialBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	net, err := NewMLP([]int{3, 5, 3}, "tanh", "", rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := mat.Randn(5, 3, 1, rng) // batch size 2 -> batches of 2, 2, 1
-	y := mat.Randn(5, 3, 1, rng)
-	want, _ := MSELoss{}.Compute(infer(net, x), y)
-
-	got, err := Train(net, x, y, MSELoss{}, NewSGD(0), TrainConfig{Epochs: 3, BatchSize: 2}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("epoch loss %v, want per-sample mean %v", got, want)
 	}
 }

@@ -1,113 +1,25 @@
 package nn
 
 import (
-	"math"
-
 	"prodigy/internal/mat"
 )
 
-// Loss computes a scalar loss over a batch and the gradient of the mean
-// loss with respect to the predictions.
-type Loss interface {
-	// Compute returns the mean loss over the batch and dLoss/dPred.
-	Compute(pred, target *mat.Matrix) (float64, *mat.Matrix)
-	// ComputeInto is Compute with the gradient drawn from ws, so a
-	// steady-state training loop allocates nothing per step.
-	ComputeInto(pred, target *mat.Matrix, ws *mat.Workspace) (float64, *mat.Matrix)
-	Name() string
-}
-
-// MSELoss is mean squared error, averaged over all elements.
+// MSELoss is mean squared error, averaged over all elements: the
+// reconstruction loss the VAE and USAD trainers minimize.
 type MSELoss struct{}
 
-// Name implements Loss.
-func (MSELoss) Name() string { return "mse" }
-
-// Compute implements Loss.
-func (MSELoss) Compute(pred, target *mat.Matrix) (float64, *mat.Matrix) {
-	return mseCompute(pred, target, mat.New(pred.Rows, pred.Cols))
-}
-
-// ComputeInto implements Loss.
+// ComputeInto returns the mean loss over the batch and dLoss/dPred, with
+// the gradient drawn from ws so a steady-state training loop allocates
+// nothing per step.
 func (MSELoss) ComputeInto(pred, target *mat.Matrix, ws *mat.Workspace) (float64, *mat.Matrix) {
-	return mseCompute(pred, target, ws.Get(pred.Rows, pred.Cols))
-}
-
-func mseCompute(pred, target, grad *mat.Matrix) (float64, *mat.Matrix) {
 	checkSameShape(pred, target)
+	grad := ws.Get(pred.Rows, pred.Cols)
 	n := float64(len(pred.Data))
 	loss := 0.0
 	for i, p := range pred.Data {
 		d := p - target.Data[i]
 		loss += d * d
 		grad.Data[i] = 2 * d / n
-	}
-	return loss / n, grad
-}
-
-// MAELoss is mean absolute error, averaged over all elements. The gradient
-// at exactly zero error is 0 (subgradient choice).
-type MAELoss struct{}
-
-// Name implements Loss.
-func (MAELoss) Name() string { return "mae" }
-
-// Compute implements Loss.
-func (MAELoss) Compute(pred, target *mat.Matrix) (float64, *mat.Matrix) {
-	return maeCompute(pred, target, mat.New(pred.Rows, pred.Cols))
-}
-
-// ComputeInto implements Loss.
-func (MAELoss) ComputeInto(pred, target *mat.Matrix, ws *mat.Workspace) (float64, *mat.Matrix) {
-	return maeCompute(pred, target, ws.Get(pred.Rows, pred.Cols))
-}
-
-func maeCompute(pred, target, grad *mat.Matrix) (float64, *mat.Matrix) {
-	checkSameShape(pred, target)
-	n := float64(len(pred.Data))
-	loss := 0.0
-	for i, p := range pred.Data {
-		d := p - target.Data[i]
-		loss += math.Abs(d)
-		switch {
-		case d > 0:
-			grad.Data[i] = 1 / n
-		case d < 0:
-			grad.Data[i] = -1 / n
-		default:
-			grad.Data[i] = 0 // workspace buffers arrive dirty
-		}
-	}
-	return loss / n, grad
-}
-
-// BCELoss is binary cross-entropy over probabilities in (0, 1). Inputs are
-// clipped to [eps, 1-eps] for numerical stability.
-type BCELoss struct{}
-
-// Name implements Loss.
-func (BCELoss) Name() string { return "bce" }
-
-// Compute implements Loss.
-func (BCELoss) Compute(pred, target *mat.Matrix) (float64, *mat.Matrix) {
-	return bceCompute(pred, target, mat.New(pred.Rows, pred.Cols))
-}
-
-// ComputeInto implements Loss.
-func (BCELoss) ComputeInto(pred, target *mat.Matrix, ws *mat.Workspace) (float64, *mat.Matrix) {
-	return bceCompute(pred, target, ws.Get(pred.Rows, pred.Cols))
-}
-
-func bceCompute(pred, target, grad *mat.Matrix) (float64, *mat.Matrix) {
-	checkSameShape(pred, target)
-	const eps = 1e-7
-	n := float64(len(pred.Data))
-	loss := 0.0
-	for i, p := range pred.Data {
-		p = mat.Clamp(p, eps, 1-eps)
-		t := target.Data[i]
-		loss += -(t*math.Log(p) + (1-t)*math.Log(1-p))
-		grad.Data[i] = (p - t) / (p * (1 - p)) / n
 	}
 	return loss / n, grad
 }

@@ -183,22 +183,6 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// ZeroGrads clears all accumulated gradients.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
-}
-
-// NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.Value.Data)
-	}
-	return total
-}
-
 // layerSpec is the serialized form of one layer.
 type layerSpec struct {
 	Kind string    `json:"kind"` // "dense" or "activation"
@@ -273,27 +257,4 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the network (weights copied, gradients fresh).
-func (n *Network) Clone() *Network {
-	out := &Network{}
-	for _, l := range n.Layers {
-		switch v := l.(type) {
-		case *Dense:
-			out.Layers = append(out.Layers, &Dense{
-				W: &Param{Name: v.W.Name, Value: v.W.Value.Clone(), Grad: mat.New(v.W.Grad.Rows, v.W.Grad.Cols)},
-				B: &Param{Name: v.B.Name, Value: v.B.Value.Clone(), Grad: mat.New(v.B.Grad.Rows, v.B.Grad.Cols)},
-			})
-		case *Activation:
-			act, err := ActivationByName(v.Name)
-			if err != nil {
-				panic(err) // activations constructed by this package always round-trip
-			}
-			out.Layers = append(out.Layers, act)
-		default:
-			panic(fmt.Sprintf("nn: cannot clone layer of type %T", l))
-		}
-	}
-	return out
 }

@@ -6,48 +6,6 @@ import (
 	"prodigy/internal/mat"
 )
 
-// Optimizer updates parameters from their accumulated gradients and then
-// clears the gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*Param]*mat.Matrix
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and no
-// momentum.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	if o.Momentum > 0 && o.velocity == nil {
-		o.velocity = make(map[*Param]*mat.Matrix)
-	}
-	for _, p := range params {
-		if o.Momentum > 0 {
-			v, ok := o.velocity[p]
-			if !ok {
-				v = mat.New(p.Grad.Rows, p.Grad.Cols)
-				o.velocity[p] = v
-			}
-			for i := range v.Data {
-				v.Data[i] = o.Momentum*v.Data[i] - o.LR*p.Grad.Data[i]
-				p.Value.Data[i] += v.Data[i]
-			}
-		} else {
-			for i := range p.Value.Data {
-				p.Value.Data[i] -= o.LR * p.Grad.Data[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements Kingma & Ba's Adam optimizer with bias correction.
 type Adam struct {
 	LR      float64
@@ -67,7 +25,8 @@ func NewAdam(lr float64) *Adam {
 		m: make(map[*Param]*mat.Matrix), v: make(map[*Param]*mat.Matrix)}
 }
 
-// Step implements Optimizer.
+// Step updates params from their accumulated gradients and then clears
+// the gradients.
 func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))

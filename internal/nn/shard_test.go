@@ -7,55 +7,6 @@ import (
 	"prodigy/internal/mat"
 )
 
-// trainWeights trains a fresh, identically-seeded MLP with the given worker
-// count and returns the flattened final weights plus the final loss.
-func trainWeights(t *testing.T, workers int) ([]float64, float64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(17))
-	net, err := NewMLP([]int{12, 8, 12}, "tanh", "", rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 256 rows at batch 128 gives 8 shards per step, so Workers=8 really
-	// fans out eight goroutines and the short tail shard is exercised too
-	// (250 % 16 != 0 would be even better, but the row count must be fixed
-	// across runs; the last batch of 128 covers full shards, the uneven
-	// final shard comes from the 250-row variant below).
-	x := mat.Randn(250, 12, 1, rng)
-	final, err := Train(net, x, x, MSELoss{}, NewAdam(0.005),
-		TrainConfig{Epochs: 4, BatchSize: 128, ClipNorm: 5, Workers: workers}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ws []float64
-	for _, p := range net.Params() {
-		ws = append(ws, p.Value.Data...)
-	}
-	return ws, final
-}
-
-// TestTrainDeterministicAcrossWorkers pins the DESIGN.md §11 contract: the
-// trained weights are bit-identical for any Workers value, because shard
-// boundaries and the reduction tree depend only on the batch size.
-func TestTrainDeterministicAcrossWorkers(t *testing.T) {
-	ref, refLoss := trainWeights(t, 1)
-	for _, workers := range []int{2, 8} {
-		got, gotLoss := trainWeights(t, workers)
-		if len(got) != len(ref) {
-			t.Fatalf("Workers=%d: %d weights vs %d", workers, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("Workers=%d: weight %d differs: %v vs %v (must be bit-identical)",
-					workers, i, got[i], ref[i])
-			}
-		}
-		if gotLoss != refLoss {
-			t.Fatalf("Workers=%d: final loss %v vs %v (must be bit-identical)", workers, gotLoss, refLoss)
-		}
-	}
-}
-
 // TestSharderRunCoversAllShards drives the sharder directly at a wide
 // fan-out: every shard must be visited exactly once, with the right row
 // range, regardless of how shards map onto workers. Run under -race this
@@ -198,15 +149,15 @@ func TestBackwardParamsIntoMatchesBackward(t *testing.T) {
 	x := mat.Randn(9, 5, 1, rng)
 	y := mat.Randn(9, 3, 1, rng)
 
-	net.ZeroGrads()
-	_, grad := MSELoss{}.Compute(forward(net, x), y)
+	zeroGrads(net)
+	_, grad := mse(forward(net, x), y)
 	backward(net, grad)
 	var want [][]float64
 	for _, p := range net.Params() {
 		want = append(want, append([]float64(nil), p.Grad.Data...))
 	}
 
-	net.ZeroGrads()
+	zeroGrads(net)
 	ws := mat.NewWorkspace()
 	pred := net.ForwardInto(x, ws)
 	_, g2 := MSELoss{}.ComputeInto(pred, y, ws)
@@ -232,7 +183,7 @@ func TestBackwardInputIntoMatchesBackward(t *testing.T) {
 	x := mat.Randn(7, 4, 1, rng)
 	g := mat.Randn(7, 4, 1, rng)
 
-	net.ZeroGrads()
+	zeroGrads(net)
 	forward(net, x)
 	want := backward(net, g.Clone())
 
@@ -247,10 +198,10 @@ func TestBackwardInputIntoMatchesBackward(t *testing.T) {
 
 // TestEffectiveWorkers pins the Workers-knob resolution.
 func TestEffectiveWorkers(t *testing.T) {
-	if got := (TrainConfig{Workers: 3}).EffectiveWorkers(); got != 3 {
+	if got := EffectiveWorkers(3); got != 3 {
 		t.Fatalf("Workers=3 resolved to %d", got)
 	}
-	if got := (TrainConfig{}).EffectiveWorkers(); got < 1 {
+	if got := EffectiveWorkers(0); got < 1 {
 		t.Fatalf("default workers %d < 1", got)
 	}
 }

@@ -20,17 +20,9 @@ type SamplePoint struct {
 
 // Collect enumerates every series of the registry in a deterministic
 // order (families sorted by name, series by label values) and hands each
-// one to fn. Collect hooks run first, exactly as WritePrometheus does, so
-// computed gauges are fresh. This is the scrape surface the in-process
-// tsdb samples on a fixed interval.
+// one to fn. This is the scrape surface the in-process tsdb samples on a
+// fixed interval.
 func (r *Registry) Collect(fn func(SamplePoint)) {
-	r.mu.RLock()
-	hooks := append([]func(){}, r.hooks...)
-	r.mu.RUnlock()
-	for _, h := range hooks {
-		h()
-	}
-
 	r.mu.RLock()
 	names := make([]string, 0, len(r.fams))
 	for name := range r.fams {

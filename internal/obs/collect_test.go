@@ -63,20 +63,3 @@ func sliceEq(a, b []string) bool {
 	}
 	return true
 }
-
-// TestCollectRunsHooks mirrors the WritePrometheus contract: OnCollect
-// hooks refresh computed gauges before enumeration.
-func TestCollectRunsHooks(t *testing.T) {
-	r := NewRegistry()
-	g := r.NewGauge("hooked", "t")
-	r.OnCollect(func() { g.Set(42) })
-	var got float64
-	r.Collect(func(p SamplePoint) {
-		if p.Name == "hooked" {
-			got = p.Value
-		}
-	})
-	if got != 42 {
-		t.Fatalf("hooked gauge = %v, want 42", got)
-	}
-}

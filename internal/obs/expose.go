@@ -14,16 +14,8 @@ import (
 
 // WritePrometheus renders the registry in Prometheus text exposition
 // format v0.0.4: families sorted by name, series sorted by label values,
-// histograms as cumulative `_bucket`/`_sum`/`_count` triples. Collect
-// hooks run first so computed gauges are fresh.
+// histograms as cumulative `_bucket`/`_sum`/`_count` triples.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.mu.RLock()
-	hooks := append([]func(){}, r.hooks...)
-	r.mu.RUnlock()
-	for _, h := range hooks {
-		h()
-	}
-
 	r.mu.RLock()
 	names := make([]string, 0, len(r.fams))
 	for name := range r.fams {
@@ -136,15 +128,11 @@ func Handler() http.Handler {
 // the /debug/vars exposition.
 func (r *Registry) Snapshot() map[string]interface{} {
 	r.mu.RLock()
-	hooks := append([]func(){}, r.hooks...)
 	fams := make(map[string]*family, len(r.fams))
 	for name, f := range r.fams {
 		fams[name] = f
 	}
 	r.mu.RUnlock()
-	for _, h := range hooks {
-		h()
-	}
 
 	out := make(map[string]interface{}, len(fams))
 	for name, f := range fams {

@@ -95,15 +95,11 @@ func (l *Logger) SetLevel(lvl Level) { l.level.Store(int32(lvl)) }
 
 // SetRateLimit installs a token-bucket sampler over Warn and below:
 // lines beyond rate/sec (burst capacity `burst`) are dropped and counted
-// in log_dropped_total. Error lines are never limited. Use ClearRateLimit
-// to remove sampling entirely; rate<=0 with burst 0 drops every
-// non-error line.
+// in log_dropped_total. Error lines are never limited; rate<=0 with
+// burst 0 drops every non-error line.
 func (l *Logger) SetRateLimit(rate, burst float64) {
 	l.limiter.Store(NewTokenBucket(rate, burst))
 }
-
-// ClearRateLimit removes the sampler; every enabled line writes again.
-func (l *Logger) ClearRateLimit() { l.limiter.Store(nil) }
 
 // Enabled reports whether lvl would be emitted.
 func (l *Logger) Enabled(lvl Level) bool { return int32(lvl) <= l.level.Load() }

@@ -52,9 +52,8 @@ var LagBuckets = []float64{1, 2, 5, 10, 30, 60, 120, 300}
 // use; the intended pattern is package-level metric variables created once
 // from Default at init time, then updated lock-free on hot paths.
 type Registry struct {
-	mu    sync.RWMutex
-	fams  map[string]*family
-	hooks []func()
+	mu   sync.RWMutex
+	fams map[string]*family
 }
 
 // Default is the process-wide registry every Prodigy component reports to.
@@ -70,15 +69,6 @@ func Uptime() time.Duration { return time.Since(processStart) }
 // uses Default).
 func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
-}
-
-// OnCollect registers a hook run at the start of every exposition pass —
-// the place to refresh gauges whose value is computed on demand (uptime,
-// queue depths).
-func (r *Registry) OnCollect(f func()) {
-	r.mu.Lock()
-	r.hooks = append(r.hooks, f)
-	r.mu.Unlock()
 }
 
 // family is one named metric with a fixed label schema; each distinct

@@ -124,21 +124,6 @@ weird_total{v="quote\"and\\slash"} 1
 	}
 }
 
-func TestCollectHookRefreshesGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.NewGauge("computed", "t")
-	calls := 0
-	r.OnCollect(func() { calls++; g.Set(float64(calls)) })
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	if calls != 1 || g.Value() != 1 {
-		t.Fatalf("hook not run: calls=%d gauge=%v", calls, g.Value())
-	}
-	if !strings.Contains(b.String(), "computed 1\n") {
-		t.Fatalf("exposition missing refreshed gauge:\n%s", b.String())
-	}
-}
-
 func TestReregistrationPanicsOnTypeMismatch(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("dual_total", "t")

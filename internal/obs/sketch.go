@@ -8,14 +8,12 @@ import (
 // Sketch is a fixed-memory streaming distribution sketch over the
 // positive real axis, built for anomaly scores: Observe is one atomic add
 // into a geometric bin, so per-row scoring instrumentation costs nothing
-// measurable and allocates nothing. Quantiles interpolate inside the
-// containing bin; with sketchBins geometric bins spanning
-// [sketchMin, sketchMax) a quantile estimate is off by at most one bin
-// ratio (~18% relative here, typically far less away from distribution
-// edges) — plenty for distribution-shift detection, where the question is
-// "did the whole CDF move", not "what is the 7th decimal of p99".
+// measurable and allocates nothing. sketchBins geometric bins span
+// [sketchMin, sketchMax) at a ratio of ~18% per bin — plenty for
+// distribution-shift detection, where the question is "did the whole CDF
+// move", not "what is the 7th decimal of p99".
 //
-// A Sketch is safe for concurrent Observe/Quantile/Snapshot from any
+// A Sketch is safe for concurrent Observe/Snapshot from any
 // number of goroutines. Snapshots share the fixed bin layout, so two
 // sketches (or a sketch and a snapshot taken earlier) are directly
 // comparable bin-by-bin — the property the score-distribution-shift alert
@@ -25,8 +23,6 @@ type Sketch struct {
 	// negatives); counts[1..sketchBins] are the geometric bins;
 	// counts[sketchBins+1] is the overflow bin (v >= sketchMax).
 	counts [sketchBins + 2]atomic.Uint64
-	total  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
 const (
@@ -66,30 +62,9 @@ func sketchBinOf(v float64) int {
 	return b
 }
 
-// sketchBound returns the upper bound of bin i (1-based geometric bins).
-func sketchBound(i int) float64 {
-	return sketchMin * math.Exp(float64(i)*sketchLogRatio)
-}
-
-// Observe records one value: two atomic adds and a CAS, no allocation.
+// Observe records one value: one atomic add, no allocation.
 func (s *Sketch) Observe(v float64) {
 	s.counts[sketchBinOf(v)].Add(1)
-	s.total.Add(1)
-	addFloat(&s.sum, v)
-}
-
-// Count returns the number of observations.
-func (s *Sketch) Count() uint64 { return s.total.Load() }
-
-// Sum returns the sum of observed values.
-func (s *Sketch) Sum() float64 { return loadFloat(&s.sum) }
-
-// Quantile estimates the q-quantile (0 < q < 1) by geometric
-// interpolation within the containing bin. Underflow observations report
-// as sketchMin, overflow as sketchMax. Returns 0 with no observations.
-func (s *Sketch) Quantile(q float64) float64 {
-	snap := s.Snapshot()
-	return snap.Quantile(q)
 }
 
 // Snapshot copies the sketch's counts into an immutable snapshot. The
@@ -114,35 +89,6 @@ func (s *Sketch) Snapshot() *SketchSnapshot {
 type SketchSnapshot struct {
 	Counts [sketchBins + 2]uint64
 	Total  uint64
-}
-
-// Quantile estimates the q-quantile of the snapshot.
-func (s *SketchSnapshot) Quantile(q float64) float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	rank := q * float64(s.Total)
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if float64(cum) >= rank {
-			switch i {
-			case 0:
-				return sketchMin
-			case sketchBins + 1:
-				return sketchMax
-			}
-			lo := sketchBound(i - 1)
-			hi := sketchBound(i)
-			if c == 0 {
-				return hi
-			}
-			frac := (rank - float64(cum-c)) / float64(c)
-			// Geometric interpolation matches the bin spacing.
-			return lo * math.Exp(frac*math.Log(hi/lo))
-		}
-	}
-	return sketchMax
 }
 
 // CountsSlice returns the bin counts as a slice (for KS comparison via

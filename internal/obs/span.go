@@ -75,6 +75,8 @@ func init() { slowThresholdNs.Store(int64(100 * time.Millisecond)) }
 // SetSlowSpanThreshold sets the duration at which a span is retained in
 // the slow-span ring (default 100ms). Zero retains every span; negative
 // disables retention.
+//
+//lint:ignore deadcode test seam: TestSlowSpanRing and server TestSpansEndpoint retain every span
 func SetSlowSpanThreshold(d time.Duration) { slowThresholdNs.Store(int64(d)) }
 
 func recordSlowSpan(name string, start time.Time, d time.Duration) {

@@ -130,9 +130,6 @@ func New(reg *obs.Registry, cfg Config) *Store {
 	}
 }
 
-// Interval returns the configured scrape interval.
-func (s *Store) Interval() time.Duration { return s.cfg.Interval }
-
 // Now returns the store's clock reading. Query surfaces built on the
 // store (the /api/timeseries handler) anchor "now" here so an injected
 // test clock governs the whole pipeline, not just scraping.
@@ -204,37 +201,6 @@ func (s *Store) Start() {
 func (s *Store) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
-}
-
-// SeriesMeta describes one live series (for discovery endpoints).
-type SeriesMeta struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Points int               `json:"points"`
-}
-
-// Series lists every live series sorted by name then labels.
-func (s *Store) Series() []SeriesMeta {
-	s.mu.RLock()
-	out := make([]SeriesMeta, 0, len(s.series))
-	for _, sr := range s.series {
-		m := SeriesMeta{Name: sr.name, Points: sr.count}
-		if len(sr.labelNames) > 0 {
-			m.Labels = make(map[string]string, len(sr.labelNames))
-			for i, ln := range sr.labelNames {
-				m.Labels[ln] = sr.labelValues[i]
-			}
-		}
-		out = append(out, m)
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return fmt.Sprint(out[i].Labels) < fmt.Sprint(out[j].Labels)
-	})
-	return out
 }
 
 // matches reports whether the series satisfies every matcher (exact

@@ -286,7 +286,6 @@ func TestConcurrentScrapeQuery(t *testing.T) {
 				st.Query("conc_total", map[string]string{"k": "a"}, time.Time{}, time.Time{})
 				st.EvalAgg(AggQuery{Name: "conc_total", Agg: AggRate, Window: time.Second}, clk.Now())
 				st.EvalAgg(AggQuery{Name: "conc_seconds", Agg: AggQuantile, Q: 0.9, Window: time.Second}, clk.Now())
-				st.Series()
 			}
 		}()
 	}

@@ -82,11 +82,6 @@ type Config struct {
 	Catalog *features.Catalog
 }
 
-// DefaultConfig returns a 60-second window advancing every 30 seconds.
-func DefaultConfig() Config {
-	return Config{Window: 60, Stride: 30, Grace: 2, Catalog: features.Default()}
-}
-
 // Detector is a streaming window detector. It is safe for concurrent
 // Ingest calls (the LDMS aggregator contract): the buffer map is guarded
 // by a mutex, while model scoring happens outside the lock through the
@@ -466,12 +461,6 @@ type windowSample struct {
 	meta  pipeline.SampleMeta
 	order []string
 	vec   []float64
-}
-
-func (w *windowAccumulator) add(meta pipeline.SampleMeta, tb *timeseries.Table) {
-	vec := make([]float64, tb.NumMetrics()*w.catalog.NumFeaturesPerSeries())
-	w.catalog.ExtractTableInto(vec, tb)
-	w.addVec(meta, tb.Order, vec)
 }
 
 // addVec appends a pre-extracted vector; extraction can then run on any

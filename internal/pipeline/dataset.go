@@ -90,17 +90,6 @@ func (d *Dataset) AnomalousIndices() []int {
 	return d.IndicesWhere(func(m SampleMeta) bool { return m.Label == Anomalous })
 }
 
-// Concat appends other's samples to d's (feature spaces must match).
-func Concat(a, b *Dataset) (*Dataset, error) {
-	if a.X.Cols != b.X.Cols {
-		return nil, fmt.Errorf("pipeline: concat width mismatch %d vs %d", a.X.Cols, b.X.Cols)
-	}
-	meta := make([]SampleMeta, 0, len(a.Meta)+len(b.Meta))
-	meta = append(meta, a.Meta...)
-	meta = append(meta, b.Meta...)
-	return &Dataset{FeatureNames: a.FeatureNames, X: mat.VStack(a.X, b.X), Meta: meta}, nil
-}
-
 // DataGenerator performs the preprocessing of §4.2.1: query raw sampler
 // data for a job, trim initialization/termination boundaries, linearly
 // interpolate missing values, and first-difference accumulated counters.
@@ -151,19 +140,6 @@ type DataPipeline struct {
 // NewDataPipeline returns a pipeline over the default (efficient) catalog.
 func NewDataPipeline() *DataPipeline {
 	return &DataPipeline{Catalog: features.Default()}
-}
-
-// ExtractTable converts one component's table into (names, vector).
-func (p *DataPipeline) ExtractTable(tb *timeseries.Table) ([]string, []float64) {
-	return p.Catalog.ExtractTable(tb)
-}
-
-// ExtractInto writes one component's flat feature vector into dst, whose
-// length must be tb.NumMetrics()·Catalog.NumFeaturesPerSeries(). Pair with
-// Catalog.TableFeatureNames to recover the names without reallocating them
-// per sample.
-func (p *DataPipeline) ExtractInto(dst []float64, tb *timeseries.Table) {
-	p.Catalog.ExtractTableInto(dst, tb)
 }
 
 // jobSpec pairs a job ID with its ground truth for dataset assembly.

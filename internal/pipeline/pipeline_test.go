@@ -11,7 +11,7 @@ import (
 	"prodigy/internal/features"
 	"prodigy/internal/hpas"
 	"prodigy/internal/ldms"
-	"prodigy/internal/mat"
+
 	"prodigy/internal/pipeline"
 	"prodigy/internal/vae"
 )
@@ -93,24 +93,15 @@ func TestDatasetAssembly(t *testing.T) {
 	}
 }
 
-func TestSubsetAndConcat(t *testing.T) {
+func TestSubsetPartitions(t *testing.T) {
 	ds, _ := tinyCampaign(t, 2)
 	h := ds.Subset(ds.HealthyIndices())
 	a := ds.Subset(ds.AnomalousIndices())
 	if h.Len()+a.Len() != ds.Len() {
 		t.Fatal("subset sizes")
 	}
-	both, err := pipeline.Concat(h, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if both.Len() != ds.Len() {
-		t.Fatal("concat size")
-	}
-	// Width mismatch must error.
-	bad := &pipeline.Dataset{X: mat.New(1, 3), Meta: make([]pipeline.SampleMeta, 1)}
-	if _, err := pipeline.Concat(h, bad); err == nil {
-		t.Fatal("expected concat width error")
+	if h.X.Cols != ds.X.Cols || a.X.Cols != ds.X.Cols {
+		t.Fatal("subsets must keep the feature width")
 	}
 }
 

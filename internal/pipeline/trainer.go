@@ -48,6 +48,8 @@ func init() { instrumentationOn.Store(true) }
 
 // SetInstrumentation toggles per-batch scoring telemetry (benchmarks
 // only). Returns the previous setting.
+//
+//lint:ignore deadcode benchmark seam: the 5% instrumentation-overhead gate of TestBenchJSON/scoring times BenchmarkScoringUninstrumented with it off
 func SetInstrumentation(on bool) bool { return instrumentationOn.Swap(on) }
 
 // InstrumentationEnabled reports whether per-batch scoring telemetry is

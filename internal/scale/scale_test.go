@@ -45,7 +45,7 @@ func TestMinMaxExtrapolatesOutOfRange(t *testing.T) {
 func TestStandardBasic(t *testing.T) {
 	x := mat.FromRows([][]float64{{2}, {4}, {4}, {4}, {5}, {5}, {7}, {9}})
 	out := FitTransform(NewStandard(), x)
-	col := out.Col(0)
+	col := out.ColInto(make([]float64, out.Rows), 0)
 	if math.Abs(mat.Mean(col)) > 1e-12 {
 		t.Fatalf("mean after standard = %v", mat.Mean(col))
 	}
@@ -153,8 +153,8 @@ func TestQuickOrderPreserved(t *testing.T) {
 		x := mat.Randn(5+rng.Intn(20), 1, 10, rng)
 		for _, s := range []Scaler{NewMinMax(), NewStandard(), NewRobust()} {
 			out := FitTransform(s, x)
-			in := x.Col(0)
-			sc := out.Col(0)
+			in := x.ColInto(make([]float64, x.Rows), 0)
+			sc := out.ColInto(make([]float64, out.Rows), 0)
 			for i := 1; i < len(in); i++ {
 				if (in[i] > in[i-1]) != (sc[i] > sc[i-1]) && in[i] != in[i-1] {
 					return false

@@ -27,9 +27,3 @@ func mix64(x uint64) uint64 {
 
 // KeyForJob returns the consistent-hash key for a job's serving affinity.
 func KeyForJob(jobID int64) uint64 { return mix64(uint64(jobID)) }
-
-// KeyForNode returns the consistent-hash key for one (job, component)
-// pair — finer-grained sharding for callers that score per node.
-func KeyForNode(jobID int64, component int) uint64 {
-	return mix64(mix64(uint64(jobID)) ^ uint64(component))
-}

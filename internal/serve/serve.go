@@ -247,16 +247,9 @@ func (t *Tier) ScoreBatch(ctx context.Context, vectors [][]float64) (*Result, er
 	return t.shards[int(t.rr.Add(1))%len(t.shards)].submit(ctx, vectors)
 }
 
-// ScoreBatchKeyed is ScoreBatch pinned to the consistent-hash shard of
-// key, for callers that want cache- or job-affinity (see KeyForJob).
-func (t *Tier) ScoreBatchKeyed(ctx context.Context, key uint64, vectors [][]float64) (*Result, error) {
-	return t.shardFor(key).submit(ctx, vectors)
-}
-
 // ReplicaForJob returns the replica that job-affine analyses (dashboard,
-// explanation, diagnosis) of the job should run against — the same
-// consistent hash as keyed scoring, so one job's reads land on one
-// replica.
+// explanation, diagnosis) of the job should run against — the consistent
+// hash of KeyForJob, so one job's reads land on one replica.
 func (t *Tier) ReplicaForJob(jobID int64) *core.Prodigy {
 	return t.shardFor(KeyForJob(jobID)).replica
 }

@@ -196,7 +196,7 @@ func TestSwapDuringFlight(t *testing.T) {
 				default:
 				}
 				vecs := randVectors(rng, 1+rng.Intn(3), width)
-				res, err := tier.ScoreBatchKeyed(context.Background(), rng.Uint64(), vecs)
+				res, err := tier.ScoreBatch(context.Background(), vecs)
 				if err != nil {
 					t.Errorf("score during swap: %v", err)
 					return

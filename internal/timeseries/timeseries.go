@@ -26,13 +26,6 @@ type Series struct {
 	Values []float64
 }
 
-// Clone returns a deep copy of s.
-func (s Series) Clone() Series {
-	v := make([]float64, len(s.Values))
-	copy(v, s.Values)
-	return Series{Metric: s.Metric, Values: v}
-}
-
 // Interpolate fills Missing values by linear interpolation between the
 // nearest observed neighbours, extending the first/last observation to the
 // boundaries. A series with no observed values is filled with zeros.
@@ -135,26 +128,6 @@ func (t *Table) AddColumn(metric string, values []float64) {
 
 // Column returns the values for metric, or nil if absent.
 func (t *Table) Column(metric string) []float64 { return t.Columns[metric] }
-
-// Series returns the named column as a Series sharing storage with the
-// table, and whether it exists.
-func (t *Table) Series(metric string) (Series, bool) {
-	v, ok := t.Columns[metric]
-	return Series{Metric: metric, Values: v}, ok
-}
-
-// Clone returns a deep copy of the table.
-func (t *Table) Clone() *Table {
-	ts := make([]int64, len(t.Timestamps))
-	copy(ts, t.Timestamps)
-	out := NewTable(ts)
-	for _, m := range t.Order {
-		v := make([]float64, len(t.Columns[m]))
-		copy(v, t.Columns[m])
-		out.AddColumn(m, v)
-	}
-	return out
-}
 
 // TrimBoundary removes the first and last seconds timesteps (the paper trims
 // 60 s of initialization and termination noise). If the table is shorter
@@ -259,65 +232,6 @@ func (t *Table) Window(from, to int64) *Table {
 	for _, m := range t.Order {
 		col := make([]float64, hi-lo)
 		copy(col, t.Columns[m][lo:hi])
-		out.AddColumn(m, col)
-	}
-	return out
-}
-
-// DropColumns removes the named columns if present.
-func (t *Table) DropColumns(metrics []string) {
-	drop := make(map[string]bool, len(metrics))
-	for _, m := range metrics {
-		drop[m] = true
-	}
-	kept := t.Order[:0]
-	for _, m := range t.Order {
-		if drop[m] {
-			delete(t.Columns, m)
-		} else {
-			kept = append(kept, m)
-		}
-	}
-	t.Order = kept
-}
-
-// Resample aggregates the table into fixed-width time buckets, averaging
-// observed values within each bucket (missing values are skipped; a bucket
-// with no observations is Missing). Monitoring deployments mix sampler
-// rates — 1 Hz kernel counters next to 10-second job schedulers — and
-// resampling brings them onto one axis before Align.
-func (t *Table) Resample(bucketSeconds int64) *Table {
-	if bucketSeconds <= 1 || t.Len() == 0 {
-		return t.Clone()
-	}
-	first := t.Timestamps[0]
-	last := t.Timestamps[t.Len()-1]
-	numBuckets := int((last-first)/bucketSeconds) + 1
-	ts := make([]int64, numBuckets)
-	for i := range ts {
-		ts[i] = first + int64(i)*bucketSeconds
-	}
-	out := NewTable(ts)
-	for _, m := range t.Order {
-		src := t.Columns[m]
-		sums := make([]float64, numBuckets)
-		counts := make([]int, numBuckets)
-		for i, v := range src {
-			if IsMissing(v) {
-				continue
-			}
-			b := int((t.Timestamps[i] - first) / bucketSeconds)
-			sums[b] += v
-			counts[b]++
-		}
-		col := make([]float64, numBuckets)
-		for b := range col {
-			if counts[b] == 0 {
-				col[b] = Missing
-			} else {
-				col[b] = sums[b] / float64(counts[b])
-			}
-		}
 		out.AddColumn(m, col)
 	}
 	return out

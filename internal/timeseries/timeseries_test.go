@@ -147,31 +147,6 @@ func TestWindow(t *testing.T) {
 	}
 }
 
-func TestDropColumns(t *testing.T) {
-	tb := NewTable([]int64{1})
-	tb.AddColumn("keep", []float64{1})
-	tb.AddColumn("drop1", []float64{2})
-	tb.AddColumn("drop2", []float64{3})
-	tb.DropColumns([]string{"drop1", "drop2", "absent"})
-	if tb.NumMetrics() != 1 || tb.Order[0] != "keep" {
-		t.Fatalf("Order = %v", tb.Order)
-	}
-	if tb.Column("drop1") != nil {
-		t.Fatal("column not deleted")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	tb := NewTable([]int64{1, 2})
-	tb.AddColumn("m", []float64{1, 2})
-	c := tb.Clone()
-	c.Column("m")[0] = 42
-	c.Timestamps[0] = 42
-	if tb.Column("m")[0] == 42 || tb.Timestamps[0] == 42 {
-		t.Fatal("Clone must deep-copy")
-	}
-}
-
 func TestDiffColumnsIgnoresUnknown(t *testing.T) {
 	tb := NewTable([]int64{1, 2})
 	tb.AddColumn("acc", []float64{5, 9})
@@ -257,52 +232,5 @@ func TestQuickInterpolateBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResample(t *testing.T) {
-	tb := NewTable([]int64{0, 1, 2, 3, 4, 5})
-	tb.AddColumn("m", []float64{1, 3, 5, 7, Missing, 11})
-	out := tb.Resample(2)
-	if out.Len() != 3 {
-		t.Fatalf("resampled len = %d", out.Len())
-	}
-	col := out.Column("m")
-	// Buckets: {1,3}→2, {5,7}→6, {missing,11}→11.
-	if col[0] != 2 || col[1] != 6 || col[2] != 11 {
-		t.Fatalf("resampled = %v", col)
-	}
-	if out.Timestamps[1] != 2 {
-		t.Fatalf("timestamps = %v", out.Timestamps)
-	}
-}
-
-func TestResampleEmptyBucketIsMissing(t *testing.T) {
-	tb := NewTable([]int64{0, 10})
-	tb.AddColumn("m", []float64{1, 2})
-	out := tb.Resample(5)
-	col := out.Column("m")
-	if col[0] != 1 || !IsMissing(col[1]) || col[2] != 2 {
-		t.Fatalf("resampled = %v", col)
-	}
-}
-
-func TestResampleIdentityForSmallBucket(t *testing.T) {
-	tb := NewTable([]int64{0, 1, 2})
-	tb.AddColumn("m", []float64{1, 2, 3})
-	out := tb.Resample(1)
-	if out.Len() != 3 || out.Column("m")[2] != 3 {
-		t.Fatal("bucket=1 should clone")
-	}
-	// And the clone is independent.
-	out.Column("m")[0] = 99
-	if tb.Column("m")[0] == 99 {
-		t.Fatal("must not share storage")
-	}
-	if tb.Resample(0).Len() != 3 {
-		t.Fatal("bucket=0 should clone")
-	}
-	if NewTable(nil).Resample(5).Len() != 0 {
-		t.Fatal("empty table")
 	}
 }

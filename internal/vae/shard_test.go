@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
-
-	"prodigy/internal/mat"
 )
 
 // fitWorkers trains a fresh, identically-seeded VAE at the given worker
@@ -67,7 +65,7 @@ func TestFitWorkersScoresFinite(t *testing.T) {
 	if _, err := v.Fit(healthy, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range v.Scores(mat.VStack(healthy, anom)) {
+	for _, s := range append(v.Scores(healthy), v.Scores(anom)...) {
 		if s != s {
 			t.Fatal("NaN score from worker-trained model")
 		}

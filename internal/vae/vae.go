@@ -198,7 +198,7 @@ func (v *VAE) Fit(x *mat.Matrix, progress func(epoch int, loss, recon, kl float6
 	// place — steady-state steps do not touch the allocator.
 	muNet := &nn.Network{Layers: []nn.Layer{v.muHead}}
 	lvNet := &nn.Network{Layers: []nn.Layer{v.logvarHead}}
-	workers := nn.TrainConfig{Workers: v.Cfg.Workers}.EffectiveWorkers()
+	workers := nn.EffectiveWorkers(v.Cfg.Workers)
 	sh := nn.NewSharder(workers, bs, []*nn.Network{v.encoder, muNet, lvNet, v.decoder}, nil)
 	xb := &mat.Matrix{}
 	epsFull := mat.New(bs, v.Cfg.LatentDim)
@@ -344,15 +344,6 @@ func (v *VAE) params() []*nn.Param {
 	ps = append(ps, v.logvarHead.Params()...)
 	ps = append(ps, v.decoder.Params()...)
 	return ps
-}
-
-// NumParams returns the total trainable parameter count.
-func (v *VAE) NumParams() int {
-	total := 0
-	for _, p := range v.params() {
-		total += len(p.Value.Data)
-	}
-	return total
 }
 
 // persisted is the JSON envelope for a trained VAE.
