@@ -20,8 +20,17 @@ func TestRegistryCoversTable1(t *testing.T) {
 	if _, err := Get("no-such-app"); err == nil {
 		t.Error("unknown app should error")
 	}
-	if n := len(registry); n < 18 {
-		t.Errorf("only %d signatures registered", n)
+}
+
+func TestNamesSortedAndComplete(t *testing.T) {
+	names := registeredNames()
+	if len(names) < 18 {
+		t.Fatalf("only %d signatures registered", len(names))
+	}
+	for i := 1; i < len(names); i++ {
+		if names[i] <= names[i-1] {
+			t.Fatal("registered names must be sorted and unique")
+		}
 	}
 }
 

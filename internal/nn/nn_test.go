@@ -30,14 +30,28 @@ func zeroGrads(n *Network) {
 	}
 }
 
+// bce is binary cross-entropy over probabilities in (0, 1) and its
+// gradient, the reference loss for a sigmoid-output network.
+func bce(pred, target *mat.Matrix) (float64, *mat.Matrix) {
+	grad := mat.New(pred.Rows, pred.Cols)
+	n := float64(len(pred.Data))
+	loss := 0.0
+	for i, p := range pred.Data {
+		t := target.Data[i]
+		loss += -(t*math.Log(p) + (1-t)*math.Log(1-p))
+		grad.Data[i] = (p - t) / (p * (1 - p)) / n
+	}
+	return loss / n, grad
+}
+
 // numericGradient estimates dLoss/dParam[i] by central differences.
-func numericGradient(n *Network, x, y *mat.Matrix, p *Param, i int) float64 {
+func numericGradient(n *Network, x, y *mat.Matrix, loss func(pred, target *mat.Matrix) (float64, *mat.Matrix), p *Param, i int) float64 {
 	const h = 1e-5
 	orig := p.Value.Data[i]
 	p.Value.Data[i] = orig + h
-	lp, _ := mse(forward(n, x), y)
+	lp, _ := loss(forward(n, x), y)
 	p.Value.Data[i] = orig - h
-	lm, _ := mse(forward(n, x), y)
+	lm, _ := loss(forward(n, x), y)
 	p.Value.Data[i] = orig
 	return (lp - lm) / (2 * h)
 }
@@ -62,13 +76,40 @@ func TestGradientCheck(t *testing.T) {
 
 			for _, p := range net.Params() {
 				for _, i := range []int{0, len(p.Value.Data) / 2, len(p.Value.Data) - 1} {
-					want := numericGradient(net, x, y, p, i)
+					want := numericGradient(net, x, y, mse, p, i)
 					got := p.Grad.Data[i]
 					if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 						t.Fatalf("%s/%q %s[%d]: analytic %v vs numeric %v", act, out, p.Name, i, got, want)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBCEGradientCheck checks the backward pass of a sigmoid-output network
+// on binary targets under cross-entropy, whose gradient grows steep as the
+// output nears 0 or 1.
+func TestBCEGradientCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	net, err := NewMLP([]int{3, 5, 1}, "tanh", "sigmoid", rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := mat.Randn(6, 3, 1, rng)
+	y := mat.New(6, 1)
+	for i := 0; i < 6; i++ {
+		y.Set(i, 0, float64(i%2))
+	}
+	zeroGrads(net)
+	_, grad := bce(forward(net, x), y)
+	backward(net, grad)
+	for _, p := range net.Params() {
+		i := len(p.Value.Data) / 2
+		want := numericGradient(net, x, y, bce, p, i)
+		got := p.Grad.Data[i]
+		if math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
+			t.Fatalf("BCE %s[%d]: analytic %v vs numeric %v", p.Name, i, got, want)
 		}
 	}
 }
