@@ -165,6 +165,7 @@ var benchFiles = []benchFile{
 			{"ServeDirectSingleRow", BenchmarkServeDirectSingleRow},
 			{"ServeSingleConn", BenchmarkServeSingleConn},
 			{"ServeCoalesced64", BenchmarkServeCoalesced64},
+			{"ServeWideRow", BenchmarkServeWideRow},
 		},
 		extra:   []string{"ServeOpenLoopHalf", "ServeOpenLoop1x", "ServeSaturated"},
 		measure: measureServingLoad,

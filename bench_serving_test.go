@@ -13,10 +13,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -35,16 +37,17 @@ import (
 // features through the full select/scale/VAE pipeline. Deliberately tiny
 // so per-request serving overhead, not model FLOPs, dominates — the
 // quantity the coalescer exists to amortize.
-func servingModel(tb testing.TB) *core.Prodigy {
+func servingModel(tb testing.TB) *core.Prodigy { return trainServingModel(tb, 24, 12) }
+
+// trainServingModel trains the serving detector over a full feature
+// space of the given width, keeping topK columns.
+func trainServingModel(tb testing.TB, features, topK int) *core.Prodigy {
 	tb.Helper()
-	const (
-		samples  = 96
-		features = 24
-	)
+	const samples = 96
 	rng := rand.New(rand.NewSource(7))
 	names := make([]string, features)
 	for i := range names {
-		names[i] = "srv_f" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+		names[i] = "srv_f" + strconv.Itoa(i)
 	}
 	x := mat.New(samples, features)
 	meta := make([]pipeline.SampleMeta, samples)
@@ -66,7 +69,7 @@ func servingModel(tb testing.TB) *core.Prodigy {
 	cfg := core.DefaultConfig()
 	cfg.VAE = vae.Config{HiddenDims: []int{16}, LatentDim: 4, Activation: "tanh",
 		LearningRate: 1e-3, BatchSize: 32, Epochs: 4, Seed: 11}
-	cfg.Trainer = pipeline.TrainerConfig{TopK: 12, ThresholdPercentile: 95, ScalerKind: "minmax"}
+	cfg.Trainer = pipeline.TrainerConfig{TopK: topK, ThresholdPercentile: 95, ScalerKind: "minmax"}
 	p := core.New(cfg)
 	if err := p.Fit(ds, ds); err != nil {
 		tb.Fatalf("fit: %v", err)
@@ -178,6 +181,106 @@ func BenchmarkServeCoalesced64(b *testing.B) {
 	close(iters)
 	wg.Wait()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+}
+
+// BenchmarkServeWideRow posts one json.Marshal'd row at the score
+// workload's full width (6,240 columns) through the real handler, in
+// process, against a TopK=100 model: the per-request cost of decode,
+// admission, a one-row flush and encode. A one-row MaxBatch flushes each
+// request as it arrives, so the coalescing window does not hide that
+// cost.
+func BenchmarkServeWideRow(b *testing.B) {
+	const width = 6240
+	p := trainServingModel(b, width, 100)
+	srv := server.NewWithTier(dsos.NewStore(), p, serve.NewTier(p, serve.Config{MaxBatch: 1}))
+	defer srv.Close()
+	rng := rand.New(rand.NewSource(3))
+	row := make([]float64, width)
+	for i := range row {
+		row[i] = rng.NormFloat64()
+	}
+	body, err := json.Marshal(map[string][][]float64{"vectors": {row}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/score", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("score status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestScoreWideRowsMatchDetectBatch pins the routed /api/score path —
+// route, pruned decode straight into selected-width rows, coalesced
+// flush, encode — to Prodigy.DetectBatch on the same full-width rows, bit
+// for bit, on rows shaped like the score workload's: 6,240 columns of
+// json.Marshal'd values against a TopK=100 model, one-row and
+// whole-job bodies posted concurrently to a two-replica tier.
+func TestScoreWideRowsMatchDetectBatch(t *testing.T) {
+	const width = 6240
+	p := trainServingModel(t, width, 100)
+	// A deadline far past any host's decode time: this test is about the
+	// answers, and a shed request would have none.
+	srv := server.NewWithTier(dsos.NewStore(), p, serve.NewTier(p, serve.Config{Replicas: 2, Deadline: time.Minute}))
+	defer srv.Close()
+	rng := rand.New(rand.NewSource(11))
+	bodies := make([][]byte, 12)
+	want := make([]*mat.Matrix, len(bodies))
+	for b := range bodies {
+		rows := 1 + b%3*7 // 1, 8 and 15 nodes
+		x := mat.New(rows, width)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+		vecs := make([][]float64, rows)
+		for i := range vecs {
+			vecs[i] = x.Row(i)
+		}
+		body, err := json.Marshal(map[string][][]float64{"vectors": vecs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[b], want[b] = body, x
+	}
+	var wg sync.WaitGroup
+	for b := range bodies {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/score", bytes.NewReader(bodies[b])))
+			if rec.Code != http.StatusOK {
+				t.Errorf("body %d: status %d: %s", b, rec.Code, rec.Body)
+				return
+			}
+			var got struct {
+				Threshold float64 `json:"threshold"`
+				Results   []struct {
+					Score     float64 `json:"score"`
+					Anomalous bool    `json:"anomalous"`
+				} `json:"results"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Errorf("body %d: %v", b, err)
+				return
+			}
+			preds, scores, threshold := p.DetectBatch(want[b])
+			if len(got.Results) != len(scores) || math.Float64bits(got.Threshold) != math.Float64bits(threshold) {
+				t.Errorf("body %d: %d results at threshold %v, want %d at %v", b, len(got.Results), got.Threshold, len(scores), threshold)
+				return
+			}
+			for i, r := range got.Results {
+				if math.Float64bits(r.Score) != math.Float64bits(scores[i]) || r.Anomalous != (preds[i] == 1) {
+					t.Errorf("body %d row %d: got (%v, %v), want (%v, %v)", b, i, r.Score, r.Anomalous, scores[i], preds[i] == 1)
+				}
+			}
+		}(b)
+	}
+	wg.Wait()
 }
 
 // loadPointMetrics is the entry one load point records. p50_ns/p99_ns

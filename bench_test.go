@@ -518,7 +518,7 @@ func BenchmarkHetero(b *testing.B) {
 // BenchmarkStreamingDetection measures the online extension: live windowed
 // detection over one job's row stream (160 s × 4 nodes).
 func BenchmarkStreamingDetection(b *testing.B) {
-	sys := cluster.NewSystem("bench", 8, cluster.EclipseNode(), 0)
+	sys := cluster.NewSystem("bench", 8, cluster.EclipseNode())
 	store := dsos.NewStore()
 	truth := map[int64]map[int][2]string{}
 	appsByJob := map[int64]string{}

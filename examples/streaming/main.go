@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	sys := cluster.NewSystem("stream-demo", 8, cluster.EclipseNode(), 0)
+	sys := cluster.NewSystem("stream-demo", 8, cluster.EclipseNode())
 	store := dsos.NewStore()
 
 	// --- Offline: collect healthy history and one labeled anomalous job,

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"flag"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -244,6 +245,38 @@ func TestDefaultRootsResolve(t *testing.T) {
 	for _, spec := range DefaultHotPathRoots() {
 		if len(g.resolveRoots([]RootSpec{spec})) == 0 {
 			t.Errorf("{%s, %s} resolves to no function in the module", spec.Type, spec.Method)
+		}
+	}
+}
+
+// TestHotAllocDenyListResolves fails when a hotalloc deny entry names
+// nothing in the module's mat package: allocates matches by name, so an
+// entry whose function was deleted or renamed guards nothing while it
+// reads as coverage.
+func TestHotAllocDenyListResolves(t *testing.T) {
+	pkg, err := fixtureLoader(t).Import(defaultMatPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := pkg.Scope()
+	for name := range hotAllocFuncs {
+		if _, ok := scope.Lookup(name).(*types.Func); !ok {
+			t.Errorf("hotAllocFuncs denies %s.%s, which %s does not define", pkg.Name(), name, defaultMatPath)
+		}
+	}
+	methods := map[string]bool{}
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					methods[named.Method(i).Name()] = true
+				}
+			}
+		}
+	}
+	for name := range hotAllocMethods {
+		if !methods[name] {
+			t.Errorf("hotAllocMethods denies %s, which no type of %s defines", name, defaultMatPath)
 		}
 	}
 }

@@ -72,20 +72,16 @@ var hotAllocFuncs = map[string]bool{
 	"NewFromData": true,
 	"FromRows":    true,
 	"Randn":       true,
-	"VStack":      true,
-	// Order statistics that copy-and-sort internally; hot paths sort a
-	// workspace buffer once and use the *Sorted forms.
+	// An order statistic that copies and sorts internally; hot paths sort
+	// a workspace buffer once and use PercentileSorted.
 	"Percentile": true,
-	"Median":     true,
 }
 
 // hotAllocMethods are the allocating methods of mat types (fresh-value
 // returns: every one has an Into or in-place counterpart).
 var hotAllocMethods = map[string]bool{
 	"Clone":      true,
-	"T":          true,
 	"RowCopy":    true,
-	"Col":        true,
 	"SelectRows": true,
 	"SelectCols": true,
 }

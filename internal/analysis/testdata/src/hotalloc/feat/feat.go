@@ -58,7 +58,7 @@ func (c *Catalog) ExtractPlanInto(dst, x []float64, p *Plan, ws *mat.Workspace) 
 
 // check is reachable from ExtractPlanInto alone.
 func (p *Plan) check(dst []float64) {
-	_ = mat.Median(dst) //want:hotalloc
+	_ = mat.Percentile(dst, 50) //want:hotalloc
 }
 
 // exClean stays on sorted workspace-style data: no findings.
@@ -83,7 +83,7 @@ func convert() SeriesFn {
 // signature structurally, so dispatch fan-out pulls it in like any other
 // candidate target — matching is by signature identity, not by use.
 func coldHelper(x, dst []float64, ws *mat.Workspace) {
-	dst[0] = mat.Median(x) //want:hotalloc
+	dst[0] = mat.Percentile(x, 50) //want:hotalloc
 }
 
 var _ = coldHelper

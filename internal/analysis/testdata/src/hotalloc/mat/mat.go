@@ -43,8 +43,8 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T is an allocating method: a fresh transpose.
-func (m *Matrix) T() *Matrix { return New(m.Cols, m.Rows) }
+// SelectCols is an allocating method: a fresh column subset.
+func (m *Matrix) SelectCols(idx []int) *Matrix { return New(m.Rows, len(idx)) }
 
 // ApplyInto is a destination-passing method.
 func (m *Matrix) ApplyInto(dst *Matrix, f func(float64) float64) *Matrix {
@@ -72,6 +72,3 @@ func PercentileSorted(s []float64, p float64) float64 {
 	}
 	return s[0]
 }
-
-// Median copies and sorts like Percentile: denylisted on hot paths.
-func Median(v []float64) float64 { return Percentile(v, 50) }

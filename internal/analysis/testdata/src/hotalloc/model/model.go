@@ -31,8 +31,8 @@ func (s *Slow) ApplyInto(x *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 // helper is only reachable through Slow.ApplyInto: findings must follow
 // the call graph, not just root bodies.
 func (s *Slow) helper(x *mat.Matrix) *mat.Matrix {
-	y := x.T()       //want:hotalloc
-	return y.Clone() //want:hotalloc
+	y := x.SelectCols([]int{0}) //want:hotalloc
+	return y.Clone()            //want:hotalloc
 }
 
 // Network matches the root spec {Network, InferInto}.
@@ -76,7 +76,7 @@ func (n *Network) audit() *Namesake {
 // Fit is a cold path: training code may allocate freely.
 func Fit(x *mat.Matrix) *mat.Matrix {
 	scratch := mat.New(x.Rows, x.Cols)
-	return mat.MatMulInto(scratch, x, x.T())
+	return mat.MatMulInto(scratch, x, x.Clone())
 }
 
 // Sharder matches the root spec {Sharder, Reduce}: the fixed-order

@@ -26,16 +26,10 @@ func TestSystemSpecsMatchPaper(t *testing.T) {
 	if v.NumNodes() != 52 {
 		t.Fatalf("Volta has %d nodes, want 52", v.NumNodes())
 	}
-	if v.NodesPerSwitch != 4 || v.NumNodes()/v.NodesPerSwitch != 13 {
-		t.Fatal("Volta switch topology should be 13 switches of 4")
-	}
-	if e.NodesPerSwitch != 0 {
-		t.Fatal("Eclipse has no switch topology modeled")
-	}
 }
 
 func TestSubmitAllocatesAndCompletes(t *testing.T) {
-	s := NewSystem("test", 8, VoltaNode(), 4)
+	s := NewSystem("test", 8, VoltaNode())
 	j1, err := s.Submit("lammps", 4, 100, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +67,7 @@ func TestSubmitAllocatesAndCompletes(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	s := NewSystem("test", 4, VoltaNode(), 0)
+	s := NewSystem("test", 4, VoltaNode())
 	if _, err := s.Submit("no-such-app", 1, 100, 1); err == nil {
 		t.Fatal("unknown app should error")
 	}
@@ -130,7 +124,7 @@ func TestAccumulatedCountersAreMonotone(t *testing.T) {
 func TestMemleakLowersMemFree(t *testing.T) {
 	// Healthy run vs. memleak run: MemFree trajectory must fall under leak.
 	collect := func(inj hpas.Injector) []float64 {
-		s := NewSystem("test", 1, EclipseNode(), 0)
+		s := NewSystem("test", 1, EclipseNode())
 		job, err := s.Submit("lammps", 1, 600, 7)
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +164,7 @@ func (m *memorySink) Ingest(r ldms.Row) {
 }
 
 func TestCollectJobProducesAllRows(t *testing.T) {
-	s := NewSystem("test", 4, VoltaNode(), 0)
+	s := NewSystem("test", 4, VoltaNode())
 	job, err := s.Submit("nas-cg", 4, 30, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +190,7 @@ func TestCollectJobProducesAllRows(t *testing.T) {
 }
 
 func TestCollectJobDropsSamples(t *testing.T) {
-	s := NewSystem("test", 2, VoltaNode(), 0)
+	s := NewSystem("test", 2, VoltaNode())
 	job, err := s.Submit("nas-cg", 2, 100, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,11 @@ import (
 	"prodigy/internal/hpas"
 )
 
-// System is a simulated HPC system: a pool of nodes, a switch topology and
-// a minimal space-sharing scheduler.
+// System is a simulated HPC system: a pool of nodes and a minimal
+// space-sharing scheduler.
 type System struct {
 	Name string
 	Spec NodeSpec
-	// NodesPerSwitch > 0 groups nodes into switches (Volta: 4 per switch).
-	NodesPerSwitch int
 
 	mu       sync.Mutex
 	numNodes int
@@ -28,15 +26,14 @@ type System struct {
 }
 
 // NewSystem builds a system with n nodes of the given spec.
-func NewSystem(name string, n int, spec NodeSpec, nodesPerSwitch int) *System {
+func NewSystem(name string, n int, spec NodeSpec) *System {
 	s := &System{
-		Name:           name,
-		Spec:           spec,
-		NodesPerSwitch: nodesPerSwitch,
-		numNodes:       n,
-		free:           make(map[int]bool, n),
-		nextJob:        1,
-		running:        make(map[int64]*Job),
+		Name:     name,
+		Spec:     spec,
+		numNodes: n,
+		free:     make(map[int]bool, n),
+		nextJob:  1,
+		running:  make(map[int64]*Job),
 	}
 	for i := 0; i < n; i++ {
 		s.free[i] = true
@@ -49,7 +46,7 @@ func NewSystem(name string, n int, spec NodeSpec, nodesPerSwitch int) *System {
 // [cpu, cpu+gpu) use gpuSpec (which must have GPUs > 0). GPU-requiring
 // applications schedule onto the GPU partition only.
 func NewHeterogeneousSystem(name string, cpu int, cpuSpec NodeSpec, gpu int, gpuSpec NodeSpec) *System {
-	s := NewSystem(name, cpu+gpu, cpuSpec, 0)
+	s := NewSystem(name, cpu+gpu, cpuSpec)
 	s.gpuSpec = gpuSpec
 	s.gpuNodes = make(map[int]bool, gpu)
 	for i := cpu; i < cpu+gpu; i++ {
@@ -68,11 +65,12 @@ func (s *System) SpecFor(node int) NodeSpec {
 }
 
 // Eclipse returns the production system of the paper: 1488 nodes (§5.1).
-func Eclipse() *System { return NewSystem("eclipse", 1488, EclipseNode(), 0) }
+func Eclipse() *System { return NewSystem("eclipse", 1488, EclipseNode()) }
 
-// Volta returns the testbed of the paper: 52 nodes in 13 switches of 4
-// (§5.1).
-func Volta() *System { return NewSystem("volta", 52, VoltaNode(), 4) }
+// Volta returns the testbed of the paper: 52 nodes (§5.1). Its 13
+// switches of 4 nodes are not modelled: nothing in the simulation
+// depends on which switch a node hangs off.
+func Volta() *System { return NewSystem("volta", 52, VoltaNode()) }
 
 // NumNodes returns the node count.
 func (s *System) NumNodes() int { return s.numNodes }

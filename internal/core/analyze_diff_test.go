@@ -67,7 +67,7 @@ func (d degrader) Ingest(r ldms.Row) {
 // job ID, the degraded one last.
 func diffCampaign(t *testing.T, seed int64) (*pipeline.Dataset, *dsos.Store, []int64) {
 	t.Helper()
-	sys := cluster.NewSystem("diff-eclipse", 8, cluster.EclipseNode(), 0)
+	sys := cluster.NewSystem("diff-eclipse", 8, cluster.EclipseNode())
 	store := dsos.NewStore()
 	builder := pipeline.NewDatasetBuilder(store)
 	builder.Gen.TrimSeconds = 20

@@ -23,7 +23,7 @@ func (p *Prodigy) AnalyzeJobPoisoned(store *dsos.Store, jobID int64) ([]NodePred
 // PlanCells reports how many (metric, extractor) cells the deployed
 // extraction plan runs, or -1 when the deployment has no plan.
 func (p *Prodigy) PlanCells() int {
-	plan := p.snapshot().plan
+	plan := p.live().plan
 	if plan == nil {
 		return -1
 	}

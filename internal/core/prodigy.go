@@ -99,35 +99,48 @@ func DefaultConfig() Config {
 type Prodigy struct {
 	Cfg Config
 	// deployed is the live model snapshot: the detector together with the
-	// extraction plan compiled from its selection, published as one.
-	deployed atomic.Pointer[deployment]
+	// extraction plan and column map compiled from its selection,
+	// published as one.
+	deployed atomic.Pointer[Snapshot]
 	// healthyTrain retains the healthy training pool (full feature space)
 	// for CoMTE distractors.
 	healthyTrain atomic.Pointer[mat.Matrix]
-	// generation counts deployments into this instance (Fit, Swap, Load);
-	// /api/health reports it so operators can tell which artifact answered.
+	// generation counts deployments into this instance (Fit, Swap, Load)
+	// and numbers each snapshot; /api/health reports the deployed one so
+	// operators can tell which artifact answered.
 	generation atomic.Uint64
 	// baseline is the last-known-good score-distribution snapshot the
 	// score-shift alert compares live scoring against (see adoptBaseline).
 	baseline atomic.Pointer[obs.SketchSnapshot]
 }
 
-// deployment is one deployed model snapshot. AnalyzeJob extracts only the
-// (metric, extractor) cells the detector's selection reads, so the plan
-// must always describe the detector it is published with: a Swap to an
-// artifact with another selection replaces both in one atomic store.
-type deployment struct {
+// Snapshot is one deployed model: the detector together with what its
+// feature selection compiles to, published as one. AnalyzeJob extracts
+// only the (metric, extractor) cells the selection reads, and /api/score
+// decodes only the columns it reads, so the plan and the column map must
+// always describe the detector they are published with: a Swap to an
+// artifact with another selection replaces all of them in one atomic
+// store. A Snapshot is immutable; the serving tier holds one per request
+// and scores the request with it, whatever has been deployed since.
+type Snapshot struct {
 	det *pipeline.AnomalyDetector
 	// cat is the catalog the plan was compiled against.
 	cat *features.Catalog
 	// plan is nil when the artifact's feature space does not fit cat; job
 	// analysis then fails its width check before it would need one.
 	plan *features.Plan
+	// cols maps each full-width column to its position in a selected
+	// row, or -1 for a column the model does not read; nil when the
+	// selection names a column twice or one outside the feature space.
+	cols []int
+	// gen is the deployment generation this snapshot was installed as.
+	gen uint64
 }
 
-// newDeployment compiles the extraction plan of det's selection over cat.
-func newDeployment(det *pipeline.AnomalyDetector, cat *features.Catalog) *deployment {
-	d := &deployment{det: det, cat: cat}
+// newSnapshot compiles the extraction plan and the column map of det's
+// selection over cat.
+func newSnapshot(det *pipeline.AnomalyDetector, cat *features.Catalog, gen uint64) *Snapshot {
+	d := &Snapshot{det: det, cat: cat, gen: gen}
 	a := det.Artifact()
 	per, width := cat.NumFeaturesPerSeries(), len(a.FullFeatureNames)
 	if a.Selection != nil && per > 0 && width%per == 0 {
@@ -135,7 +148,59 @@ func newDeployment(det *pipeline.AnomalyDetector, cat *features.Catalog) *deploy
 			d.plan = plan
 		}
 	}
+	if a.Selection != nil {
+		d.cols = columnMap(a.Selection.Indices, width)
+	}
 	return d
+}
+
+// columnMap inverts a selection: cols[j] is the position of full column
+// j in a selected row, or -1. It returns nil for an index outside
+// [0, width) or one selected twice, which no inverse can express.
+func columnMap(indices []int, width int) []int {
+	cols := make([]int, width)
+	for j := range cols {
+		cols[j] = -1
+	}
+	for k, j := range indices {
+		if j < 0 || j >= width || cols[j] >= 0 {
+			return nil
+		}
+		cols[j] = k
+	}
+	return cols
+}
+
+// Width is the full feature width the snapshot's model was trained
+// against: the width of every vector a request carries.
+func (d *Snapshot) Width() int { return len(d.det.Artifact().FullFeatureNames) }
+
+// Columns returns the column map of the snapshot's selection — for each
+// full-width column, its position in a selected row or -1 — together
+// with the selected width. cols is nil when the selection has no
+// inverse (see columnMap). The map is shared: do not modify it.
+func (d *Snapshot) Columns() (cols []int, selected int) {
+	return d.cols, len(d.det.Artifact().Selection.Indices)
+}
+
+// Generation is the deployment generation the snapshot was installed as.
+func (d *Snapshot) Generation() uint64 { return d.gen }
+
+// SelectRow writes the selected columns of one full-width vector into
+// dst, in selection order.
+func (d *Snapshot) SelectRow(dst, vec []float64) {
+	for k, j := range d.det.Artifact().Selection.Indices {
+		dst[k] = vec[j]
+	}
+}
+
+// DetectSelected scores rows that are already selected — x holds, per
+// row, the selected columns in selection order, as SelectRow or a decode
+// under Columns lays them out — and returns the predictions and scores
+// with the threshold they were judged against. x is scaled in place.
+func (d *Snapshot) DetectSelected(x *mat.Matrix) (preds []int, scores []float64, threshold float64) {
+	preds, scores = d.det.PredictSelected(x)
+	return preds, scores, d.det.Threshold()
 }
 
 // Baseline-adoption gates: a deployment's outgoing score distribution
@@ -199,15 +264,26 @@ func (p *Prodigy) deploy(det *pipeline.AnomalyDetector) {
 	if cur := p.deployed.Load(); cur != nil {
 		p.adoptBaseline(cur.det)
 	}
-	p.deployed.Store(newDeployment(det, p.Cfg.catalog()))
-	modelGeneration.Set(float64(p.generation.Add(1)))
+	gen := p.generation.Add(1)
+	p.deployed.Store(newSnapshot(det, p.Cfg.catalog(), gen))
+	modelGeneration.Set(float64(gen))
 	modelThreshold.Set(det.Threshold())
 	modelFeatures.Set(float64(len(det.Artifact().FullFeatureNames)))
 }
 
-// Generation returns how many model deployments (Fit, Swap, Load) this
-// instance has seen; 0 means untrained.
-func (p *Prodigy) Generation() uint64 { return p.generation.Load() }
+// Generation returns the deployed snapshot's generation: how many model
+// deployments (Fit, Swap, Load) this instance had seen when it was
+// installed; 0 means untrained.
+func (p *Prodigy) Generation() uint64 {
+	if d := p.deployed.Load(); d != nil {
+		return d.gen
+	}
+	return 0
+}
+
+// Snapshot returns the deployed model snapshot, or nil while untrained.
+// Everything read through one Snapshot belongs to one deployment.
+func (p *Prodigy) Snapshot() *Snapshot { return p.deployed.Load() }
 
 // New returns an untrained Prodigy with the given configuration.
 func New(cfg Config) *Prodigy { return &Prodigy{Cfg: cfg} }
@@ -397,7 +473,7 @@ type NodePrediction struct {
 // AnalyzeJob runs the full prediction pipeline of Figure 4 for one job ID:
 // query the store, preprocess, extract features, detect per node.
 // Extraction runs only the (metric, extractor) cells the deployed
-// selection reads (see deployment); the verdicts are bit-identical to
+// selection reads (see Snapshot); the verdicts are bit-identical to
 // scoring the fully extracted vector.
 func (p *Prodigy) AnalyzeJob(store *dsos.Store, jobID int64) ([]NodePrediction, error) {
 	row := rowPool.Get().(*mat.Matrix)
@@ -410,7 +486,7 @@ func (p *Prodigy) analyzeJob(row *mat.Matrix, store *dsos.Store, jobID int64) ([
 	defer span.End()
 	// One atomic load per request: every node of the job is scored against
 	// the same detector and plan even if a hot swap lands mid-analysis.
-	dep := p.snapshot()
+	dep := p.live()
 	gen := pipeline.NewDataGenerator(store)
 	if p.Cfg.TrimSeconds > 0 {
 		gen.TrimSeconds = p.Cfg.TrimSeconds
@@ -463,7 +539,7 @@ func resizeRow(m *mat.Matrix, w int) {
 // into row and scores it. Cells outside the plan keep whatever the row
 // held: the detector gathers only the selected columns, and every one of
 // those lies inside the plan.
-func (d *deployment) analyzeNode(row *mat.Matrix, ws *features.Workspace, comp int, tb *timeseries.Table) (NodePrediction, error) {
+func (d *Snapshot) analyzeNode(row *mat.Matrix, ws *features.Workspace, comp int, tb *timeseries.Table) (NodePrediction, error) {
 	width := len(d.det.Artifact().FullFeatureNames)
 	if n := tb.NumMetrics() * d.cat.NumFeaturesPerSeries(); n != width {
 		return NodePrediction{}, fmt.Errorf("component %d yields %d features, model expects %d", comp, n, width)
@@ -638,11 +714,11 @@ func matrixFromVec(vec []float64) *mat.Matrix { return mat.NewFromData(1, len(ve
 
 // det returns the deployed detector, panicking on an untrained pipeline —
 // the same contract mustBeTrained enforced, now one atomic load.
-func (p *Prodigy) det() *pipeline.AnomalyDetector { return p.snapshot().det }
+func (p *Prodigy) det() *pipeline.AnomalyDetector { return p.live().det }
 
-// snapshot returns the deployed model snapshot, panicking on an untrained
+// live returns the deployed model snapshot, panicking on an untrained
 // pipeline.
-func (p *Prodigy) snapshot() *deployment {
+func (p *Prodigy) live() *Snapshot {
 	d := p.deployed.Load()
 	if d == nil {
 		panic("core: Prodigy used before Fit/Load")

@@ -19,7 +19,7 @@ import (
 // healthy lammps/sw4lite jobs plus memleak and cpuoccupy jobs.
 func campaign(t *testing.T, seed int64) (*pipeline.Dataset, *dsos.Store, int64) {
 	t.Helper()
-	sys := cluster.NewSystem("mini-eclipse", 8, cluster.EclipseNode(), 0)
+	sys := cluster.NewSystem("mini-eclipse", 8, cluster.EclipseNode())
 	store := dsos.NewStore()
 	builder := pipeline.NewDatasetBuilder(store)
 	builder.Gen.TrimSeconds = 20

@@ -18,7 +18,7 @@ import (
 // runs.
 func typedCampaign(t *testing.T, seed int64) *pipeline.Dataset {
 	t.Helper()
-	sys := cluster.NewSystem("test", 4, cluster.EclipseNode(), 0)
+	sys := cluster.NewSystem("test", 4, cluster.EclipseNode())
 	store := dsos.NewStore()
 	builder := pipeline.NewDatasetBuilder(store)
 	builder.Gen.TrimSeconds = 20

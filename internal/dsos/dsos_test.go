@@ -145,7 +145,7 @@ func TestConcurrentIngest(t *testing.T) {
 // dsos: simulate a job, collect its telemetry, query it back, and verify
 // the data has the structure the analytics pipeline expects.
 func TestEndToEndCollection(t *testing.T) {
-	sys := cluster.NewSystem("test", 4, cluster.VoltaNode(), 4)
+	sys := cluster.NewSystem("test", 4, cluster.VoltaNode())
 	job, err := sys.Submit("nas-ft", 4, 60, 11)
 	if err != nil {
 		t.Fatal(err)

@@ -108,8 +108,9 @@ type Ensemble struct {
 	Cfg Config
 
 	pre     pipeline.Model
-	margin  float64   // pre-filter scores above this pass to the fleet
-	preRef  []float64 // sorted pre-filter scores on training rows
+	preCost *obs.CostEntry // the pre-filter's cost-ledger entry
+	margin  float64        // pre-filter scores above this pass to the fleet
+	preRef  []float64      // sorted pre-filter scores on training rows
 	members []*member
 
 	// cascade accounting, read by the scheduler and the status endpoint
@@ -195,6 +196,7 @@ func New(cfg Config, members []pipeline.Model) (*Ensemble, error) {
 			return nil, fmt.Errorf("ensemble: prefilter: %w", err)
 		}
 		e.pre = pre
+		e.preCost = obs.CostFor(cfg.Prefilter)
 	}
 	e.sched.init(e)
 	modelsActive.Set(float64(len(e.members)))
@@ -399,7 +401,7 @@ func (e *Ensemble) scores(x *mat.Matrix, active []*member) []float64 {
 	start := time.Now()
 	pre := e.pre.Scores(x)
 	if instr {
-		obs.CostFor(e.Cfg.Prefilter).Record(len(pre), time.Since(start))
+		e.preCost.Record(len(pre), time.Since(start))
 		stageDur.With(stagePrefilter).Observe(time.Since(start).Seconds())
 	}
 

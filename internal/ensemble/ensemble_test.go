@@ -11,6 +11,7 @@ import (
 
 	"prodigy/internal/ensemble"
 	"prodigy/internal/mat"
+	"prodigy/internal/obs"
 	"prodigy/internal/pipeline"
 	"prodigy/internal/vae"
 )
@@ -405,6 +406,49 @@ func TestBudgetSchedulerShedRestore(t *testing.T) {
 	st := ens.Status()
 	if st.Prefilter != "iforest" || len(st.Members) != 3 {
 		t.Fatalf("status = %+v", st)
+	}
+}
+
+// TestSchedulerReadsPrefilterCost pins the budget scheduler's pre-filter
+// term to the pre-filter's own ledger entry: after scoring, and after
+// more cost is charged to it, the estimate equals the ns/row the ledger
+// reports for the pre-filter's kind — also for a cascade rehydrated from
+// its JSON form.
+func TestSchedulerReadsPrefilterCost(t *testing.T) {
+	art, test := cheapCascade(t, []string{"naive", "kmeans"}, ensemble.FusionRank)
+	det, err := art.Detector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, ok := ensemble.Of(art)
+	if !ok {
+		t.Fatal("no live ensemble")
+	}
+	loaded, err := pipeline.DecodeModel("ensemble", art.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind := ens.Cfg.Prefilter
+	ledgerNs := func() float64 {
+		for _, row := range obs.LedgerSnapshot() {
+			if row.Model == kind {
+				return row.NsPerRow
+			}
+		}
+		return 0
+	}
+	det.Scores(test.X)
+	for i, charge := range []time.Duration{0, 10 * time.Millisecond} {
+		obs.CostFor(kind).Record(1000, charge)
+		want := ledgerNs()
+		if want <= 0 {
+			t.Fatalf("step %d: ledger has no %s cost after scoring", i, kind)
+		}
+		for name, e := range map[string]*ensemble.Ensemble{"trained": ens, "rehydrated": loaded.(*ensemble.Ensemble)} {
+			if got := e.PrefilterNsForTest(); got != want {
+				t.Errorf("step %d, %s cascade: scheduler's pre-filter estimate %v ns/row, ledger says %v", i, name, got, want)
+			}
+		}
 	}
 }
 

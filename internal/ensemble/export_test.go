@@ -20,3 +20,7 @@ func (e *Ensemble) ForceActiveForTest(kind string, active bool) {
 	}
 	e.sched.publishActive()
 }
+
+// PrefilterNsForTest is the pre-filter cost the budget scheduler's
+// estimate adds per row.
+func (e *Ensemble) PrefilterNsForTest() float64 { return e.prefilterNs() }

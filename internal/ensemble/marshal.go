@@ -67,7 +67,7 @@ func (e *Ensemble) UnmarshalJSON(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	*e = Ensemble{Cfg: built.Cfg, members: built.members, margin: ej.Margin, preRef: ej.PreRef}
+	*e = Ensemble{Cfg: built.Cfg, members: built.members, preCost: built.preCost, margin: ej.Margin, preRef: ej.PreRef}
 	for i, mj := range ej.Member {
 		e.members[i].ref = mj.Ref
 	}

@@ -1,10 +1,6 @@
 package ensemble
 
-import (
-	"sync"
-
-	"prodigy/internal/obs"
-)
+import "sync"
 
 // The budget scheduler: keeps the cascade's estimated ns/row under a
 // configured budget by deactivating the most expensive fleet members
@@ -73,6 +69,16 @@ func memberNs(m *member) float64 {
 	return 10000
 }
 
+// prefilterNs returns the pre-filter's cost estimate: its measured
+// ledger ns/row, read from the entry the ensemble resolved when it was
+// built, or its static prior before the first measurement.
+func (e *Ensemble) prefilterNs() float64 {
+	if ns := e.preCost.NsPerRow(); ns > 0 {
+		return ns
+	}
+	return costPriors[e.Cfg.Prefilter]
+}
+
 // Queue-pressure thresholds: above the high-water fraction of tier
 // capacity the scheduler sheds regardless of the ns/row estimate; only
 // below the low-water mark does it restore. The gap is the hysteresis
@@ -115,12 +121,7 @@ func (s *scheduler) rebalance() {
 	// pass-fraction-weighted active fleet.
 	est := 0.0
 	if e.pre != nil {
-		if ns, ok := costPriors[e.Cfg.Prefilter]; ok {
-			est = ns
-		}
-		if ns := prefilterLedgerNs(e.Cfg.Prefilter); ns > 0 {
-			est = ns
-		}
+		est = e.prefilterNs()
 	}
 	var activeNs float64
 	active, inactive := 0, 0
@@ -223,17 +224,6 @@ func (s *scheduler) publishActive() {
 		}
 	}
 	modelsActive.Set(float64(n))
-}
-
-// prefilterLedgerNs reads the measured pre-filter cost from the ledger
-// snapshot (the pre-filter has no member slot to cache an entry on).
-func prefilterLedgerNs(kind string) float64 {
-	for _, row := range obs.LedgerSnapshot() {
-		if row.Model == kind {
-			return row.NsPerRow
-		}
-	}
-	return 0
 }
 
 // ActiveMembers returns the kinds of currently active fleet members in

@@ -20,7 +20,7 @@ import (
 // with the streaming config.
 func trainWindowModel(t *testing.T, seed int64) (*core.Prodigy, online.Config, *cluster.System) {
 	t.Helper()
-	sys := cluster.NewSystem("test", 8, cluster.EclipseNode(), 0)
+	sys := cluster.NewSystem("test", 8, cluster.EclipseNode())
 	store := dsos.NewStore()
 	truth := map[int64]map[int][2]string{}
 	appsByJob := map[int64]string{}

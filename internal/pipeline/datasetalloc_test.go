@@ -17,7 +17,7 @@ import (
 // arena-reuse determinism).
 func tinyBuilder(t testing.TB, seed int64) (*pipeline.DatasetBuilder, *dsos.Store) {
 	t.Helper()
-	sys := cluster.NewSystem("test", 8, cluster.VoltaNode(), 0)
+	sys := cluster.NewSystem("test", 8, cluster.VoltaNode())
 	store := dsos.NewStore()
 	builder := pipeline.NewDatasetBuilder(store)
 	builder.Gen.TrimSeconds = 20

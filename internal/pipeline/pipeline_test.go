@@ -20,7 +20,7 @@ import (
 // the builder's dataset plus the store.
 func tinyCampaign(t *testing.T, seed int64) (*pipeline.Dataset, *dsos.Store) {
 	t.Helper()
-	sys := cluster.NewSystem("test", 8, cluster.VoltaNode(), 0)
+	sys := cluster.NewSystem("test", 8, cluster.VoltaNode())
 	store := dsos.NewStore()
 	builder := pipeline.NewDatasetBuilder(store)
 	builder.Gen.TrimSeconds = 20

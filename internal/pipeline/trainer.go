@@ -495,18 +495,39 @@ func (d *AnomalyDetector) ScoreSketch() *obs.Sketch { return d.sketch }
 // across workers costs more in goroutine overhead than it recovers.
 const parallelScoreMinRows = 128
 
-// Scores returns anomaly scores for full-feature-space vectors. Large
-// batches fan out across GOMAXPROCS workers — safe because Model.Scores is
-// stateless — so batch throughput scales with cores. Selection and scaling
-// run through a pooled workspace, so repeated batch scoring reuses the
-// same buffers instead of allocating two full-batch matrices per call.
+// Scores returns anomaly scores for full-feature-space vectors: it
+// selects the model's columns into a pooled workspace and scores them
+// through ScoresSelected.
 func (d *AnomalyDetector) Scores(xFull *mat.Matrix) []float64 {
+	ws := mat.GetWorkspace()
+	defer mat.Release(ws)
+	return d.ScoresSelected(d.selectInto(ws, xFull))
+}
+
+// Predict returns binary predictions (1 = anomalous) and the scores for
+// full-feature-space vectors, through PredictSelected.
+func (d *AnomalyDetector) Predict(xFull *mat.Matrix) ([]int, []float64) {
+	ws := mat.GetWorkspace()
+	defer mat.Release(ws)
+	return d.PredictSelected(d.selectInto(ws, xFull))
+}
+
+// selectInto gathers the selected columns of xFull into a workspace
+// matrix, in selection order.
+func (d *AnomalyDetector) selectInto(ws *mat.Workspace, xFull *mat.Matrix) *mat.Matrix {
+	sel := d.artifact.Selection
+	return sel.ApplyInto(ws.Get(xFull.Rows, len(sel.Indices)), xFull)
+}
+
+// ScoresSelected returns anomaly scores for rows that already hold only
+// the selected columns, in selection order; it scales x in place, then
+// scores it with the model. Large batches fan out across GOMAXPROCS
+// workers — safe because Model.Scores is stateless — so batch throughput
+// scales with cores.
+func (d *AnomalyDetector) ScoresSelected(x *mat.Matrix) []float64 {
 	//lint:ignore detorder observability-only: scoring latency is recorded to the obs registry, never mixed into the scores
 	start := time.Now()
 	a := d.artifact
-	ws := mat.GetWorkspace()
-	defer mat.Release(ws)
-	x := a.Selection.ApplyInto(ws.Get(xFull.Rows, len(a.Selection.Indices)), xFull)
 	a.scaler.TransformInto(x, x)
 	model := beginBatch(a.model)
 	workers := runtime.GOMAXPROCS(0)
@@ -542,11 +563,11 @@ func (d *AnomalyDetector) Scores(xFull *mat.Matrix) []float64 {
 	return out
 }
 
-// Predict returns binary predictions (1 = anomalous) and the scores.
+// PredictSelected is ScoresSelected plus the verdicts: 1 = anomalous.
 // Threshold crossings feed prodigy_anomalies_total — the series the
 // anomaly-rate-spike alert watches.
-func (d *AnomalyDetector) Predict(xFull *mat.Matrix) ([]int, []float64) {
-	scores := d.Scores(xFull)
+func (d *AnomalyDetector) PredictSelected(x *mat.Matrix) ([]int, []float64) {
+	scores := d.ScoresSelected(x)
 	preds := make([]int, len(scores))
 	anomalies := 0
 	for i, s := range scores {

@@ -14,8 +14,10 @@ import (
 
 // request is one waiter's stake in a coalesced batch.
 type request struct {
-	vectors [][]float64
-	rows    int
+	// x holds the request's rows at the selected width of snap, the
+	// deployment snapshot they were selected under and are scored with.
+	x    *mat.Matrix
+	snap *core.Snapshot
 	// deadline is the admission deadline: a request still unflushed past
 	// it is shed.
 	deadline time.Time
@@ -53,36 +55,38 @@ type shard struct {
 	batch []*request
 }
 
-// submit admits the vectors into the shard's next batch and blocks until
-// the batch flushes, the request is shed, or ctx ends. The row
-// reservation against MaxQueue happens before the channel send, and the
-// channel's capacity equals MaxQueue rows, so an admitted send never
-// blocks — which is what makes close(reqC) under the exclusive lock a
-// safe shutdown signal.
-func (s *shard) submit(ctx context.Context, vectors [][]float64) (*Result, error) {
+// submit admits one request into the shard's next batch and blocks
+// until the batch flushes, the request is shed, or ctx ends. The rows
+// come either as x, already selected under snap, or as full-width
+// vectors, which are selected only once admitted, so a request shed for
+// a full queue costs no copy. The row reservation against MaxQueue
+// happens before the channel send, and the channel's capacity equals
+// MaxQueue rows, so an admitted send never blocks — which is what makes
+// close(reqC) under the exclusive lock a safe shutdown signal.
+func (s *shard) submit(ctx context.Context, snap *core.Snapshot, x *mat.Matrix, vectors [][]float64) (*Result, error) {
 	cfg := &s.tier.cfg
 	rows := len(vectors)
+	if x != nil {
+		rows = x.Rows
+	}
 	if rows == 0 {
 		return nil, fmt.Errorf("serve: empty request")
 	}
 	if rows > cfg.MaxBatch {
 		return nil, ErrBatchTooLarge
 	}
-	if !s.replica.Trained() {
+	if snap == nil {
 		return nil, ErrUntrained
 	}
-	width := len(s.replica.FeatureNames())
-	for i, v := range vectors {
-		if len(v) != width {
-			return nil, fmt.Errorf("serve: vector %d has %d features, model expects %d", i, len(v), width)
-		}
+	_, k := snap.Columns()
+	if x != nil && x.Cols != k {
+		return nil, fmt.Errorf("serve: rows have %d selected features, model selects %d", x.Cols, k)
 	}
 	now := cfg.Clock.Now()
 	deadline := now.Add(cfg.Deadline)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	req := &request{vectors: vectors, rows: rows, deadline: deadline, enqueued: now, done: make(chan outcome, 1)}
 
 	s.mu.RLock()
 	if s.stopped {
@@ -96,6 +100,13 @@ func (s *shard) submit(ctx context.Context, vectors [][]float64) (*Result, error
 		shedTotal.With(shedQueueFull).Inc()
 		return nil, ErrOverloaded
 	}
+	if x == nil {
+		x = mat.New(rows, k)
+		for i, v := range vectors {
+			snap.SelectRow(x.Row(i), v)
+		}
+	}
+	req := &request{x: x, snap: snap, deadline: deadline, enqueued: now, done: make(chan outcome, 1)}
 	queueDepth.Add(float64(rows))
 	s.reqC <- req
 	s.mu.RUnlock()
@@ -132,8 +143,9 @@ func (s *shard) run() {
 		if !ok {
 			return
 		}
-		// A request that overflows the open batch (size bound) carries
-		// over to open the next one.
+		// A request that overflows the open batch (size bound) or was
+		// selected under another snapshot carries over to open the next
+		// one.
 		for first != nil {
 			first = s.batchOnce(first)
 		}
@@ -142,18 +154,21 @@ func (s *shard) run() {
 
 // batchOnce collects one batch starting from first and flushes it. The
 // flush rules: the batch closes when the coalescing window elapses
-// (latency bound), the staged rows reach MaxBatch (size bound), or the
-// admission channel closes (drain). Returns the request that arrived but
-// did not fit, if any — it opens the next batch.
+// (latency bound), the staged rows reach MaxBatch (size bound), a
+// request selected under another snapshot than first arrives (swap), or
+// the admission channel closes (drain). So every batch holds rows of one
+// width and one selection, and is scored by the snapshot they were
+// selected under. Returns the request that arrived but did not join, if
+// any — it opens the next batch.
 func (s *shard) batchOnce(first *request) (overflow *request) {
 	cfg := &s.tier.cfg
 	batch := s.batch[:0]
 	rows := 0
 	stage := func(r *request) {
-		s.queued.Add(int64(-r.rows))
-		queueDepth.Add(float64(-r.rows))
-		s.staged.Add(int64(r.rows))
-		rows += r.rows
+		s.queued.Add(int64(-r.x.Rows))
+		queueDepth.Add(float64(-r.x.Rows))
+		s.staged.Add(int64(r.x.Rows))
+		rows += r.x.Rows
 		batch = append(batch, r)
 	}
 	stage(first)
@@ -167,7 +182,12 @@ collect:
 				trigger = flushDrain
 				break collect
 			}
-			if rows+r.rows > cfg.MaxBatch {
+			if r.snap != first.snap {
+				overflow = r
+				trigger = flushSwap
+				break collect
+			}
+			if rows+r.x.Rows > cfg.MaxBatch {
 				overflow = r
 				trigger = flushSize
 				break collect
@@ -183,7 +203,7 @@ collect:
 	timer.Stop()
 	s.flush(batch, trigger)
 	// Drop the flushed requests before keeping the grown capacity for the
-	// next batch: a stale slot would pin its request's decoded vectors
+	// next batch: a stale slot would pin its request's rows and snapshot
 	// until a later batch happened to overwrite it.
 	clear(batch)
 	s.batch = batch[:0]
@@ -191,17 +211,18 @@ collect:
 }
 
 // flush sheds the batch's expired requests, stages the live rows into a
-// buffer of exactly that many rows, scores them in one detector call, and
-// demuxes per-request subslices of the output back to the waiters.
-// Deadline-aware shedding happens here, at the flush boundary: a request
-// that already waited past its deadline is answered ErrOverloaded instead
-// of being scored late, so overload shows up as sheds, not as unbounded
-// tail latency. The staging buffer comes from a workspace checked out of
-// the package pool for this flush alone, so a flush's memory follows the
-// rows it scores and a rare MaxBatch-sized batch does not hold its buffer
-// for the tier's lifetime.
+// buffer of exactly that many rows, scores them in one call of the
+// batch's snapshot, and demuxes per-request subslices of the output back
+// to the waiters. Deadline-aware shedding happens here, at the flush
+// boundary: a request that already waited past its deadline is answered
+// ErrOverloaded instead of being scored late, so overload shows up as
+// sheds, not as unbounded tail latency. The staging buffer comes from a
+// workspace checked out of the package pool for this flush alone, so a
+// flush's memory follows the rows it scores and a rare MaxBatch-sized
+// batch does not hold its buffer for the tier's lifetime.
 func (s *shard) flush(batch []*request, trigger string) {
 	cfg := &s.tier.cfg
+	snap := batch[0].snap
 	now := cfg.Clock.Now()
 	live, rows := 0, 0
 	for _, r := range batch {
@@ -211,34 +232,31 @@ func (s *shard) flush(batch []*request, trigger string) {
 			continue
 		}
 		r.off = rows
-		rows += r.rows
+		rows += r.x.Rows
 		batch[live] = r
 		live++
 	}
 	if rows == 0 {
 		return
 	}
-	width := len(s.replica.FeatureNames())
+	_, width := snap.Columns()
 	ws := mat.GetWorkspace()
 	defer mat.Release(ws)
 	staged := ws.Get(rows, width)
 	for _, r := range batch[:live] {
-		for i, v := range r.vectors {
-			copy(staged.Row(r.off+i), v)
-		}
+		copy(staged.Data[r.off*width:], r.x.Data)
 	}
 	batchRows.Observe(float64(rows))
 	flushTotal.With(trigger).Inc()
-	preds, scores, threshold := s.replica.DetectBatch(staged)
-	gen := s.replica.Generation()
+	preds, scores, threshold := snap.DetectSelected(staged)
 	for _, r := range batch[:live] {
 		waited := now.Sub(r.enqueued)
 		coalesceWait.Observe(waited.Seconds())
 		r.done <- outcome{res: &Result{
-			Scores:     scores[r.off : r.off+r.rows],
-			Preds:      preds[r.off : r.off+r.rows],
+			Scores:     scores[r.off : r.off+r.x.Rows],
+			Preds:      preds[r.off : r.off+r.x.Rows],
 			Threshold:  threshold,
-			Generation: gen,
+			Generation: snap.Generation(),
 			BatchRows:  rows,
 			Waited:     waited,
 		}}

@@ -35,6 +35,7 @@ import (
 
 	"prodigy/internal/core"
 	"prodigy/internal/ensemble"
+	"prodigy/internal/mat"
 	"prodigy/internal/obs"
 	"prodigy/internal/pipeline"
 )
@@ -73,6 +74,7 @@ const (
 
 	flushWindow = "window"
 	flushSize   = "size"
+	flushSwap   = "swap"
 	flushDrain  = "drain"
 )
 
@@ -167,7 +169,8 @@ type Result struct {
 	// Threshold the verdicts were judged against, read from the same model
 	// snapshot that scored the batch.
 	Threshold float64
-	// Generation of the replica's deployed model at flush time.
+	// Generation of the deployment snapshot that scored the batch: the
+	// one the request's rows were selected under.
 	Generation uint64
 	// BatchRows is how many rows the coalesced batch carried in total —
 	// the amortization this request enjoyed.
@@ -239,12 +242,51 @@ func (t *Tier) shardFor(key uint64) *shard {
 	return t.shards[jumpHash(key, len(t.shards))]
 }
 
-// ScoreBatch coalesces the vectors into the next batch of a round-robin
-// shard and returns their demuxed verdicts. It blocks until the batch
-// flushes (at most the window plus scoring time) unless the request is
-// shed or ctx ends first.
+// Route is one request's routing decision: the shard it queues on and
+// the deployment snapshot of that shard's replica, read once. A caller
+// decodes or selects the request's rows under Snapshot's column map, then
+// submits them with Submit; the batch they join is scored by that same
+// snapshot, even if a Swap lands in between.
+type Route struct {
+	sh   *shard
+	snap *core.Snapshot
+}
+
+// Route picks the next round-robin shard and reads its replica's
+// snapshot.
+func (t *Tier) Route() Route {
+	sh := t.shards[int(t.rr.Add(1))%len(t.shards)]
+	return Route{sh: sh, snap: sh.replica.Snapshot()}
+}
+
+// Snapshot is the deployment snapshot the route's rows must be selected
+// under, or nil while the replica is untrained.
+func (r Route) Snapshot() *core.Snapshot { return r.snap }
+
+// Submit coalesces x — rows holding the selected columns of the route's
+// snapshot, in selection order — into the shard's next batch and
+// returns their demuxed verdicts. It blocks until the batch flushes (at
+// most the window plus scoring time) unless the request is shed or ctx
+// ends first.
+func (r Route) Submit(ctx context.Context, x *mat.Matrix) (*Result, error) {
+	return r.sh.submit(ctx, r.snap, x, nil)
+}
+
+// ScoreBatch scores full-width vectors through a round-robin shard: it
+// routes, checks each vector's width against the route's snapshot, and
+// submits them to be selected into the model's columns once admitted.
 func (t *Tier) ScoreBatch(ctx context.Context, vectors [][]float64) (*Result, error) {
-	return t.shards[int(t.rr.Add(1))%len(t.shards)].submit(ctx, vectors)
+	rt := t.Route()
+	if rt.snap == nil {
+		return nil, ErrUntrained
+	}
+	width := rt.snap.Width()
+	for i, v := range vectors {
+		if len(v) != width {
+			return nil, fmt.Errorf("serve: vector %d has %d features, model expects %d", i, len(v), width)
+		}
+	}
+	return rt.sh.submit(ctx, rt.snap, nil, vectors)
 }
 
 // ReplicaForJob returns the replica that job-affine analyses (dashboard,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -24,9 +25,15 @@ func testProdigy(t testing.TB) *core.Prodigy { return trainProdigy(t, 24) }
 // width; selection still keeps 12 features, so training cost barely
 // grows with it.
 func trainProdigy(t testing.TB, features int) *core.Prodigy {
+	return trainProdigyWith(t, features, 12, 7)
+}
+
+// trainProdigyWith trains on data drawn from seed and keeps topK of the
+// features.
+func trainProdigyWith(t testing.TB, features, topK int, seed int64) *core.Prodigy {
 	t.Helper()
 	const samples = 96
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, features)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%02d", i)
@@ -51,7 +58,7 @@ func trainProdigy(t testing.TB, features int) *core.Prodigy {
 	cfg := core.DefaultConfig()
 	cfg.VAE = vae.Config{HiddenDims: []int{16}, LatentDim: 4, Activation: "tanh",
 		LearningRate: 1e-3, BatchSize: 32, Epochs: 4, Seed: 11}
-	cfg.Trainer = pipeline.TrainerConfig{TopK: 12, ThresholdPercentile: 95, ScalerKind: "minmax"}
+	cfg.Trainer = pipeline.TrainerConfig{TopK: topK, ThresholdPercentile: 95, ScalerKind: "minmax"}
 	p := core.New(cfg)
 	if err := p.Fit(ds, ds); err != nil {
 		t.Fatalf("fit: %v", err)
@@ -225,6 +232,140 @@ func TestSwapDuringFlight(t *testing.T) {
 	}
 }
 
+// TestSwapChangesSelectionInFlight rolls Tier.Swap back and forth
+// between two artifacts that read different columns (12 and 7 of 24, in
+// different orders) while requests flow through the routed path, both
+// as the handler drives it (Route, select under its snapshot, Submit)
+// and through ScoreBatch. Every answer must equal DetectBatch on its
+// full-width rows under the artifact of the generation it reports, bit
+// for bit; a routed request must report the generation it was selected
+// under; and the answers of one flush, which share its output array,
+// must all report one generation.
+func TestSwapChangesSelectionInFlight(t *testing.T) {
+	const width = 24
+	pa, pb := trainProdigyWith(t, width, 12, 7), trainProdigyWith(t, width, 7, 8)
+	artA, artB := pa.Artifact(), pb.Artifact()
+	if fmt.Sprint(artA.Selection.Indices) == fmt.Sprint(artB.Selection.Indices[:7]) {
+		t.Fatal("the two artifacts select the same columns")
+	}
+	// No request may be shed: every one must come back to be checked.
+	tier := NewTier(pa, Config{Replicas: 3, Window: time.Millisecond, Deadline: time.Minute})
+	defer tier.Stop()
+	swapFlushes := flushTotal.With(flushSwap).Value()
+
+	type answer struct {
+		vecs   [][]float64
+		routed uint64 // generation the rows were selected under; 0 via ScoreBatch
+		res    *Result
+	}
+	var (
+		mu      sync.Mutex
+		answers []answer
+		wg      sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				a := answer{vecs: randVectors(rng, 1+rng.Intn(3), width)}
+				var err error
+				if i%2 == 0 {
+					rt := tier.Route()
+					snap := rt.Snapshot()
+					_, k := snap.Columns()
+					x := mat.New(len(a.vecs), k)
+					for j, v := range a.vecs {
+						snap.SelectRow(x.Row(j), v)
+					}
+					a.routed = snap.Generation()
+					a.res, err = rt.Submit(context.Background(), x)
+				} else {
+					a.res, err = tier.ScoreBatch(context.Background(), a.vecs)
+				}
+				if err != nil {
+					t.Errorf("score during swap: %v", err)
+					return
+				}
+				mu.Lock()
+				answers = append(answers, a)
+				mu.Unlock()
+			}
+		}(int64(300 + w))
+	}
+	for i := 0; i < 8; i++ {
+		time.Sleep(3 * time.Millisecond)
+		art := artB
+		if i%2 == 1 {
+			art = artA
+		}
+		if err := tier.Swap(art); err != nil {
+			t.Fatalf("swap %d: %v", i, err)
+		}
+	}
+	time.Sleep(3 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	// Every replica was deployed with A as generation 1 and swapped to B,
+	// A, B, ... after it: odd generations serve A, even ones B.
+	refA, err := core.FromArtifact(artA, pa.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refB, err := core.FromArtifact(artB, pb.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perGen := map[uint64]int{}
+	flushGen := map[*float64]uint64{}
+	for i, a := range answers {
+		gen := a.res.Generation
+		perGen[gen]++
+		if a.routed != 0 && gen != a.routed {
+			t.Fatalf("answer %d: selected under generation %d, scored by %d", i, a.routed, gen)
+		}
+		out := a.res.Scores[:cap(a.res.Scores)]
+		if g, ok := flushGen[&out[len(out)-1]]; ok && g != gen {
+			t.Fatalf("answer %d: one flush answered generations %d and %d", i, g, gen)
+		}
+		flushGen[&out[len(out)-1]] = gen
+		ref := refA
+		if gen%2 == 0 {
+			ref = refB
+		}
+		x := mat.New(len(a.vecs), width)
+		for j, v := range a.vecs {
+			copy(x.Row(j), v)
+		}
+		preds, scores, threshold := ref.DetectBatch(x)
+		if math.Float64bits(a.res.Threshold) != math.Float64bits(threshold) {
+			t.Fatalf("answer %d (generation %d): threshold %v, want %v", i, gen, a.res.Threshold, threshold)
+		}
+		for j := range scores {
+			if math.Float64bits(a.res.Scores[j]) != math.Float64bits(scores[j]) || a.res.Preds[j] != preds[j] {
+				t.Fatalf("answer %d (generation %d) row %d: got (%v, %d), want (%v, %d)",
+					i, gen, j, a.res.Scores[j], a.res.Preds[j], scores[j], preds[j])
+			}
+		}
+	}
+	if perGen[1] == 0 || len(perGen) < 2 {
+		t.Fatalf("answers per generation %v: the test did not score across a swap", perGen)
+	}
+	if !tier.Converged() {
+		t.Fatalf("tier did not converge after the swaps: %v", tier.Generations())
+	}
+	t.Logf("%d answers in %d flushes, per generation %v; %v flushes closed by a swap",
+		len(answers), len(flushGen), perGen, flushTotal.With(flushSwap).Value()-swapFlushes)
+}
+
 // TestStopDrainsAndSheds checks shutdown semantics: Stop answers
 // everything already admitted, and later submissions shed with
 // ErrStopped.
@@ -281,7 +422,7 @@ func TestQueueFullShed(t *testing.T) {
 	// of the queue, exactly what concurrent admissions would have done.
 	shedBefore := shedTotal.With(shedQueueFull).Value()
 	sh.queued.Add(int64(cfg.MaxQueue))
-	if _, err := sh.submit(context.Background(), randVectors(rng, 4, width)); !errors.Is(err, ErrOverloaded) {
+	if _, err := tier.ScoreBatch(context.Background(), randVectors(rng, 4, width)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("full queue: err = %v, want ErrOverloaded", err)
 	}
 	if got := shedTotal.With(shedQueueFull).Value() - shedBefore; got != 1 {
@@ -294,7 +435,7 @@ func TestQueueFullShed(t *testing.T) {
 		t.Fatalf("queued = %d after shed, want %d (reservation leaked)", q, cfg.MaxQueue)
 	}
 	sh.queued.Add(-int64(cfg.MaxQueue))
-	res, err := sh.submit(context.Background(), randVectors(rng, 4, width))
+	res, err := tier.ScoreBatch(context.Background(), randVectors(rng, 4, width))
 	if err != nil {
 		t.Fatalf("drained queue rejects work: %v", err)
 	}

@@ -56,14 +56,15 @@ func TestDecodeScoreRequestStrict(t *testing.T) {
 		``,
 		tooMany,
 	} {
-		if _, err := decodeScoreRequest(strings.NewReader(body)); err == nil {
+		m := identityMap(row0Width([]byte(body)))
+		if _, err := m.decode([]byte(body)); err == nil {
 			t.Errorf("accepted %.60q", body)
 		}
 	}
 
 	// Whitespace anywhere JSON allows it, every number form, signed zero
 	// and a subnormal all decode to ParseFloat's bits.
-	got, err := decodeScoreRequest(strings.NewReader(
+	got, err := identityMap(4).decode([]byte(
 		" \t\n{ \"vectors\" : [ [ -0 , 1.5e+2 , 2E-3 , 5e-324 ] ,\r\n[0,-1,1e22,9007199254740993] ] } \n"))
 	if err != nil {
 		t.Fatal(err)
@@ -77,10 +78,60 @@ func TestDecodeScoreRequestStrict(t *testing.T) {
 	}
 }
 
+// TestDecodeScoreRequestWidth pins the width rule: every vector must be
+// exactly as wide as the model's column map, and the error names the
+// width the deployed model expects.
+func TestDecodeScoreRequestWidth(t *testing.T) {
+	m := sparseMap(3, 3, 1)
+	for body, want := range map[string]string{
+		`{"vectors":[[1,2]]}`:           "vectors have 2 features, deployed model expects 3",
+		`{"vectors":[[1,2,3,4]]}`:       "vectors have 4 features, deployed model expects 3",
+		`{"vectors":[[1,2,3],[1,2]]}`:   "vector 1 has 2 features, deployed model expects 3",
+		`{"vectors":[[1,2,3],[1e309]]}`: "vector 1 feature 0: number out of float64 range",
+		`{"vectors":[[1,2,3],[]]}`:      "vector 1 is empty",
+	} {
+		_, err := m.decode([]byte(body))
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err %v, want %q", body, err, want)
+		}
+	}
+}
+
+// TestDecodePrunedChecksUnselected pins the pruned decode's strictness:
+// a token in a column the model does not read is never converted, but a
+// malformed or out-of-range one still rejects the body, and one that
+// ParseFloat would accept never does.
+func TestDecodePrunedChecksUnselected(t *testing.T) {
+	m := sparseMap(3, 3, 1) // reads column 0 only
+	for _, tok := range []string{
+		"1e309", "-1e309", "1.8e308", "99999999999999999999e289", "0.1e310",
+		"null", "01", "1.", ".5", "+1", "1e", "-", "NaN", `"1"`, "true", "",
+	} {
+		body := `{"vectors":[[7,` + tok + `,9]]}`
+		if _, err := m.decode([]byte(body)); err == nil {
+			t.Errorf("pruned decode accepted %s", body)
+		}
+	}
+	for _, tok := range []string{
+		"1.7976931348623157e308", "-1.7976931348623157e308", "17976931348623157e292",
+		"0.00001e313", "1e-400", "-0", "0e99999", "0.000e-99999", "123456789012345678901234567890",
+	} {
+		body := `{"vectors":[[7,` + tok + `,9]]}`
+		got, err := m.decode([]byte(body))
+		if err != nil {
+			t.Errorf("pruned decode rejected %s: %v", body, err)
+			continue
+		}
+		if len(got) != 1 || len(got[0]) != 1 || got[0][0] != 7 {
+			t.Errorf("%s decoded to %v, want [[7]]", body, got)
+		}
+	}
+}
+
 // TestDecodeScoreRequestConcurrent decodes bodies of different widths
-// from several goroutines at once, sharing the pooled body buffers and
-// row-0 staging slices; every result must match the encoding/json
-// reference bit for bit.
+// under different column maps from several goroutines at once, sharing
+// the pooled body buffers and row-0 staging slices; every result must
+// match the encoding/json reference bit for bit.
 func TestDecodeScoreRequestConcurrent(t *testing.T) {
 	widths := []int{3, 17, 100, 1000}
 	bodies := make([][]byte, len(widths))
@@ -105,16 +156,18 @@ func TestDecodeScoreRequestConcurrent(t *testing.T) {
 		bodies[i] = b.Bytes()
 	}
 	var wg sync.WaitGroup
-	for _, body := range bodies {
+	for i, body := range bodies {
+		m := sparseMap(widths[i], 3, int64(i))
 		want, err := referenceDecode(body)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want = m.pick(want)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				got, err := decodeScoreRequest(bytes.NewReader(body))
+				got, err := m.decode(body)
 				if err == nil {
 					err = sameBits(got, want)
 				}
@@ -128,12 +181,12 @@ func TestDecodeScoreRequestConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecodeScoreRequestAllocs pins the decoder's allocation profile: a
-// constant number of allocations whatever the batch size (the flat
-// array and the row headers; the body buffer and row 0's staging slice
-// are pooled and numbers are converted in place), bytes within ~1.1×
-// the decoded floats, and no body-sized allocation for a body that
-// fails in row 0.
+// TestDecodeScoreRequestAllocs pins the decoder's allocation profile,
+// under the identity map and under a sparse one: a constant number of
+// allocations whatever the batch size (the flat array and the matrix
+// header; the body buffer and row 0's staging slice are pooled and
+// numbers are converted in place), bytes within ~1.05× the decoded
+// floats, and no body-sized allocation for a body that fails in row 0.
 func TestDecodeScoreRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -166,32 +219,38 @@ func TestDecodeScoreRequestAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rd := bytes.NewReader(nil)
-	decode := func(b []byte) {
-		rd.Reset(b)
-		if _, err := decodeScoreRequest(rd); err != nil {
-			t.Fatal(err)
+	bodies := [][]byte{body(1), body(8)}
+	full := identityMap(width)
+	for _, m := range []columnMap{full, sparseMap(width, 3, 1)} {
+		selected := len(m.indices)
+		decode := func(b []byte) {
+			rd.Reset(b)
+			if _, err := decodeScoreRequest(rd, m.cols, selected); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for _, rows := range []int{1, 8} {
-		b := body(rows)
-		decode(b) // warm the pools
-		allocs := testing.AllocsPerRun(20, func() { decode(b) })
+		for _, b := range bodies {
+			rows := bytes.Count(b, []byte("[")) - 1
+			decode(b) // warm the pools
+			allocs := testing.AllocsPerRun(20, func() { decode(b) })
 
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			decode(b)
-		}
-		runtime.ReadMemStats(&after)
-		perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
-		floats := float64(rows * width * 8)
-		t.Logf("%d rows × %d: %.1f allocs, %.0f B (%.3f× the floats)", rows, width, allocs, perRun, perRun/floats)
-		if allocs > 2 {
-			t.Errorf("%d rows: %.1f allocs/decode, want ≤ 2", rows, allocs)
-		}
-		if limit := 1.05*floats + 512; perRun > limit {
-			t.Errorf("%d rows: %.0f B/decode, want ≤ %.0f", rows, perRun, limit)
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				decode(b)
+			}
+			runtime.ReadMemStats(&after)
+			perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			floats := float64(rows * selected * 8)
+			t.Logf("%d rows × %d of %d: %.1f allocs, %.0f B (%.3f× the floats)",
+				rows, selected, width, allocs, perRun, perRun/floats)
+			if allocs > 2 {
+				t.Errorf("%d rows × %d: %.1f allocs/decode, want ≤ 2", rows, selected, allocs)
+			}
+			if limit := 1.05*floats + 512; perRun > limit {
+				t.Errorf("%d rows × %d: %.0f B/decode, want ≤ %.0f", rows, selected, perRun, limit)
+			}
 		}
 	}
 
@@ -204,7 +263,7 @@ func TestDecodeScoreRequestAllocs(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := parseScoreBody(hostile); err == nil {
+		if _, err := parseScoreBody(hostile, full.cols, width); err == nil {
 			t.Fatal("accepted a row of bare commas")
 		}
 	}
@@ -217,20 +276,28 @@ func TestDecodeScoreRequestAllocs(t *testing.T) {
 }
 
 // BenchmarkDecodeScoreRequest decodes one full-width (5,200-column) score
-// body with the scanner and with the encoding/json reference it replaced.
+// body with the scanner converting every column, with the scanner
+// converting the 100 columns a TopK=100 model reads, and with the
+// encoding/json reference the scanner replaced.
 func BenchmarkDecodeScoreRequest(b *testing.B) {
-	body := fullWidthBody(5200)
+	const width = 5200
+	body := fullWidthBody(width)
 	rd := bytes.NewReader(nil)
-	b.Run("scanner", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			rd.Reset(body)
-			if _, err := decodeScoreRequest(rd); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		m    columnMap
+	}{{"scanner", identityMap(width)}, {"pruned", sparseMap(width, width/100, 1)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				if _, err := decodeScoreRequest(rd, c.m.cols, len(c.m.indices)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("encoding_json", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))

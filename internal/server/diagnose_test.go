@@ -24,7 +24,7 @@ import (
 // The campaign carries two anomaly types so the diagnoser can be fitted.
 func deployFull(t *testing.T) (*httptest.Server, int64, int, string) {
 	t.Helper()
-	sys := cluster.NewSystem("test", 8, cluster.EclipseNode(), 0)
+	sys := cluster.NewSystem("test", 8, cluster.EclipseNode())
 	store := dsos.NewStore()
 	builder := pipeline.NewDatasetBuilder(store)
 	builder.Gen.TrimSeconds = 20

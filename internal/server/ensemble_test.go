@@ -26,7 +26,7 @@ import (
 // harness for the scheduler-under-traffic test.
 func deployEnsembleServer(t *testing.T) (*httptest.Server, *core.Prodigy, *pipeline.Dataset) {
 	t.Helper()
-	sys := cluster.NewSystem("test", 8, cluster.EclipseNode(), 0)
+	sys := cluster.NewSystem("test", 8, cluster.EclipseNode())
 	store := dsos.NewStore()
 	builder := pipeline.NewDatasetBuilder(store)
 	builder.Gen.TrimSeconds = 20

@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
+	"prodigy/internal/mat"
 	"prodigy/internal/serve"
 )
 
@@ -32,8 +36,8 @@ type scoreResult struct {
 // pinning that much memory in the pool.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// decodeScoreRequest reads and parses a score request body into row views
-// over one flat backing array. It is the server's untrusted-input
+// decodeScoreRequest reads and parses a score request body into the
+// columns one deployed model reads. It is the server's untrusted-input
 // surface, deliberately split from the handler so the fuzz target drives
 // exactly what the network delivers. The accepted grammar is exactly
 //
@@ -42,13 +46,20 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 //
 // with JSON's number and whitespace grammar: one case-sensitive unescaped
 // key, no other or repeated field, no null, no trailing data. The batch
-// must hold 1 to maxScoreVectors vectors of one non-zero width. Every
-// value equals what encoding/json would decode, bit for bit.
+// must hold 1 to maxScoreVectors vectors, each exactly len(cols) wide.
 //
-// The rows are freshly allocated and owned by the caller: a request
-// whose context ends may leave them queued in the serving tier, which
-// still reads them at flush.
-func decodeScoreRequest(r io.Reader) ([][]float64, error) {
+// cols is a snapshot's column map (core.Snapshot.Columns): full column j
+// lands at position cols[j] of a selected row, or nowhere when cols[j] is
+// -1, and selected is the selected width. Every token is grammar-checked
+// and range-checked, selected or not, so a body is accepted or rejected
+// the same under any map of its width; only selected tokens are
+// converted, each to exactly what encoding/json would decode, bit for
+// bit. The rows come back as one rows × selected matrix.
+//
+// The matrix is freshly allocated and owned by the caller: a request
+// whose context ends may leave it queued in the serving tier, which
+// still reads it at flush.
+func decodeScoreRequest(r io.Reader, cols []int, selected int) (*mat.Matrix, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxScoreBodyBytes+bytes.MinRead {
@@ -59,7 +70,7 @@ func decodeScoreRequest(r io.Reader) ([][]float64, error) {
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("reading body: %w", err)
 	}
-	return parseScoreBody(buf.Bytes())
+	return parseScoreBody(buf.Bytes(), cols, selected)
 }
 
 // scoreScanner walks a score request body once, left to right.
@@ -106,18 +117,18 @@ func (s *scoreScanner) errorf(format string, args ...any) error {
 	return fmt.Errorf("invalid JSON: "+format+", found "+at, args...)
 }
 
-// row0Pool recycles the staging slice row 0 is parsed into. Its width
-// and byte span, known only once every one of its tokens has parsed,
-// size the flat array; row 0 is then copied in. A slice grown past the
-// body cap is dropped rather than pinned.
+// row0Pool recycles the staging slice row 0 is parsed into. Its byte
+// span, known only once every one of its tokens has parsed, sizes the
+// flat array; row 0 is then copied in. A slice grown past the body cap
+// is dropped rather than pinned.
 var row0Pool = sync.Pool{New: func() any { return new([]float64) }}
 
 // parseScoreBody parses a whole body (see decodeScoreRequest). Row 0 is
 // staged first, so the one allocation of the flat array rests on
 // numbers that parsed: remaining bytes over row 0's span estimate the
-// row count. Later rows append only if their text is denser than row
-// 0's.
-func parseScoreBody(b []byte) ([][]float64, error) {
+// row count. Later rows grow the array only if their text is denser than
+// row 0's.
+func parseScoreBody(b []byte, cols []int, selected int) (*mat.Matrix, error) {
 	s := scoreScanner{b: b}
 	if err := s.expect('{'); err != nil {
 		return nil, err
@@ -143,21 +154,18 @@ func parseScoreBody(b []byte) ([][]float64, error) {
 	stage := row0Pool.Get().(*[]float64)
 	defer func() {
 		if cap(*stage)*8 <= maxScoreBodyBytes {
-			*stage = (*stage)[:0]
 			row0Pool.Put(stage)
 		}
 	}()
+	if cap(*stage) < selected {
+		*stage = make([]float64, selected)
+	}
 	row0 := s.i
-	var err error
-	if *stage, err = s.row((*stage)[:0], 0, 0); err != nil {
+	if err := s.row((*stage)[:selected], cols, 0); err != nil {
 		return nil, err
 	}
-	width := len(*stage)
-	if width == 0 {
-		return nil, errors.New("vectors must not be empty")
-	}
 	rows := min(1+(len(b)-s.i)/(s.i-row0+1), maxScoreVectors)
-	flat := append(make([]float64, 0, rows*width), *stage...)
+	flat := append(make([]float64, 0, rows*selected), (*stage)[:selected]...)
 
 	for rows = 1; s.next() == ','; rows++ {
 		s.i++
@@ -165,11 +173,9 @@ func parseScoreBody(b []byte) ([][]float64, error) {
 			return nil, fmt.Errorf("too many vectors: more than %d", maxScoreVectors)
 		}
 		n := len(flat)
-		if flat, err = s.row(flat, rows, width); err != nil {
+		flat = slices.Grow(flat, selected)[:n+selected]
+		if err := s.row(flat[n:], cols, rows); err != nil {
 			return nil, err
-		}
-		if got := len(flat) - n; got != width {
-			return nil, fmt.Errorf("vector %d has %d features, vector 0 has %d", rows, got, width)
 		}
 	}
 	if err := s.expect(']'); err != nil {
@@ -184,39 +190,53 @@ func parseScoreBody(b []byte) ([][]float64, error) {
 	if s.skipWS(); s.i != len(b) {
 		return nil, errors.New("trailing data after request object")
 	}
-
-	out := make([][]float64, rows)
-	for i := range out {
-		out[i] = flat[i*width : (i+1)*width : (i+1)*width]
-	}
-	return out, nil
+	return mat.NewFromData(rows, selected, flat), nil
 }
 
 // row parses vector idx at s.i, '[' ws number (ws ',' ws number)* ws ']'
-// or an empty '[' ws ']', appending its values to flat. A limit > 0
-// rejects the row at its first value past limit.
-func (s *scoreScanner) row(flat []float64, idx, limit int) ([]float64, error) {
+// or an empty '[' ws ']', which must hold exactly len(cols) numbers.
+// Number j is converted and stored at dst[cols[j]] when cols[j] ≥ 0, and
+// only grammar- and range-checked otherwise; dst is the row's slot at
+// the selected width, which an accepted row fills completely.
+func (s *scoreScanner) row(dst []float64, cols []int, idx int) error {
 	if err := s.expect('['); err != nil {
-		return flat, err
+		return err
 	}
+	n := 0
 	if s.next() != ']' {
-		for n := 0; ; n++ {
+		for ; ; n++ {
 			s.skipWS()
-			v, err := s.number()
+			k := -1
+			if n < len(cols) {
+				k = cols[n]
+			}
+			v, err := s.number(k >= 0)
 			if err != nil {
-				return flat, fmt.Errorf("vector %d feature %d: %w", idx, n, err)
+				return fmt.Errorf("vector %d feature %d: %w", idx, n, err)
 			}
-			if n == limit && limit > 0 {
-				return flat, fmt.Errorf("vector %d has more features than vector 0 (%d)", idx, limit)
+			if k >= 0 {
+				dst[k] = v
 			}
-			flat = append(flat, v)
 			if s.next() != ',' {
+				n++
 				break
 			}
 			s.i++
 		}
 	}
-	return flat, s.expect(']')
+	if err := s.expect(']'); err != nil {
+		return err
+	}
+	if n == 0 {
+		return fmt.Errorf("vector %d is empty", idx)
+	}
+	if n != len(cols) {
+		if idx == 0 {
+			return fmt.Errorf("vectors have %d features, deployed model expects %d", n, len(cols))
+		}
+		return fmt.Errorf("vector %d has %d features, deployed model expects %d", idx, n, len(cols))
+	}
+	return nil
 }
 
 // Parse errors. A token that is not a JSON number, or one whose
@@ -233,44 +253,60 @@ var exactPow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// number scans one JSON number at s.i, validating its grammar, and
-// converts it bit-identically to strconv.ParseFloat(tok, 64) — the call
-// encoding/json makes. Clinger's fast path answers tokens whose decimal
-// mantissa m ≤ 2^53 and exponent |e| ≤ 22: both m and 10^|e| are exact
-// float64s, so m*10^e or m/10^-e is a single correctly rounded IEEE
-// operation, which is by definition ParseFloat's result. Every other
-// token goes to ParseFloat itself.
-func (s *scoreScanner) number() (float64, error) {
+// number scans one JSON number at s.i, validating its grammar and its
+// float64 range, and with convert set returns it bit-identically to
+// strconv.ParseFloat(tok, 64) — the call encoding/json makes. Clinger's
+// fast path answers tokens whose decimal mantissa m ≤ 2^53 and exponent
+// |e| ≤ 22: both m and 10^|e| are exact float64s, so m*10^e or m/10^-e
+// is a single correctly rounded IEEE operation, which is by definition
+// ParseFloat's result. Every other token goes to ParseFloat itself.
+//
+// Without convert the value is not computed, only whether ParseFloat
+// would accept the token. It would unless
+// the value rounds past MaxFloat64 (underflow rounds to zero without an
+// error), so the decimal magnitude of the leading nonzero digit decides:
+// below 10^308 the token fits, from 10^309 on it overflows, and only a
+// token in [10^308, 10^309) — MaxFloat64 is 1.797…e308 — still goes to
+// ParseFloat.
+func (s *scoreScanner) number(convert bool) (float64, error) {
 	b, i := s.b, s.i
 	start := i
-	neg := i < len(b) && b[i] == '-'
-	if neg {
+	if i < len(b) && b[i] == '-' {
 		i++
 	}
-	// Digits accumulate into mant unconditionally; past 19 of them it may
-	// have wrapped, and the token goes to ParseFloat instead.
+	// A converted token's digits accumulate into mant as they are
+	// scanned; past 19 of them it may have wrapped, and the token goes to
+	// ParseFloat instead. A skipped token's digits are only stepped over.
 	var mant uint64
 	intStart := i
-	for ; i < len(b) && isDigit(b[i]); i++ {
-		mant = mant*10 + uint64(b[i]-'0')
-	}
-	digits := i - intStart
-	if digits == 0 || digits > 1 && b[intStart] == '0' {
-		return 0, errNumberSyntax
-	}
-	exp := 0
-	if i < len(b) && b[i] == '.' {
-		i++
-		fracStart := i
+	if convert {
 		for ; i < len(b) && isDigit(b[i]); i++ {
 			mant = mant*10 + uint64(b[i]-'0')
+		}
+	} else {
+		i = skipDigits(b, i)
+	}
+	intEnd := i
+	if n := intEnd - intStart; n == 0 || n > 1 && b[intStart] == '0' {
+		return 0, errNumberSyntax
+	}
+	fracStart, fracEnd := i, i
+	if i < len(b) && b[i] == '.' {
+		i++
+		fracStart = i
+		if convert {
+			for ; i < len(b) && isDigit(b[i]); i++ {
+				mant = mant*10 + uint64(b[i]-'0')
+			}
+		} else {
+			i = skipDigits(b, i)
 		}
 		if i == fracStart {
 			return 0, errNumberSyntax
 		}
-		digits += i - fracStart
-		exp = fracStart - i
+		fracEnd = i
 	}
+	e := 0
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
 		eneg := false
@@ -281,7 +317,6 @@ func (s *scoreScanner) number() (float64, error) {
 		if i == len(b) || !isDigit(b[i]) {
 			return 0, errNumberSyntax
 		}
-		e := 0
 		for ; i < len(b) && isDigit(b[i]); i++ {
 			if e < 1<<20 {
 				e = e*10 + int(b[i]-'0')
@@ -290,17 +325,36 @@ func (s *scoreScanner) number() (float64, error) {
 		if eneg {
 			e = -e
 		}
-		exp += e
 	}
 	s.i = i
-	if digits <= 19 && mant <= 1<<53 && exp >= -22 && exp <= 22 {
+	if !convert {
+		// lead is the decimal exponent of the leading nonzero digit.
+		lead := intEnd - intStart - 1
+		if b[intStart] == '0' {
+			k := fracStart
+			for k < fracEnd && b[k] == '0' {
+				k++
+			}
+			if k == fracEnd {
+				return 0, nil // a zero
+			}
+			lead = fracStart - k - 1
+		}
+		switch lead += e; {
+		case lead < 308:
+			return 0, nil
+		case lead > 308:
+			return 0, errNumberRange
+		}
+	} else if exp := e - (fracEnd - fracStart); intEnd-intStart+fracEnd-fracStart <= 19 &&
+		mant <= 1<<53 && exp >= -22 && exp <= 22 {
 		f := float64(mant)
 		if exp >= 0 {
 			f *= exactPow10[exp]
 		} else {
 			f /= exactPow10[-exp]
 		}
-		if neg {
+		if b[start] == '-' {
 			f = -f
 		}
 		return f, nil
@@ -314,39 +368,68 @@ func (s *scoreScanner) number() (float64, error) {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// skipDigits returns the offset of the first byte at or after i that is
+// not an ASCII digit, testing eight bytes per step. A byte c is a digit
+// iff its high nibble is 3 and that of c+6 is still 3. Adding 6 to every
+// byte of a word at once carries only out of a non-digit byte, into the
+// bytes after it, so the lowest flagged byte is the first non-digit.
+func skipDigits(b []byte, i int) int {
+	const (
+		nibble = 0xF0F0F0F0F0F0F0F0
+		three  = 0x3030303030303030
+		six    = 0x0606060606060606
+	)
+	for ; i+8 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		if t := (x&nibble ^ three) | ((x+six)&nibble ^ three); t != 0 {
+			return i + bits.TrailingZeros64(t)/8
+		}
+	}
+	for i < len(b) && isDigit(b[i]) {
+		i++
+	}
+	return i
+}
+
 // handleScore scores a batch of raw feature vectors: POST {"vectors":
 // [[...], ...]} returns per-vector scores and verdicts plus the threshold
 // they were judged against. The body is exactly one object with the one
-// case-sensitive field "vectors": 1 to 4096 equal-width arrays of JSON
-// numbers, whitespace where JSON allows it, nothing after the object (no
-// null, no other or repeated field; see decodeScoreRequest). Anything
-// else, or a width other than the deployed model's feature count, is a
-// 400. Every request routes through the coalescing
-// serving tier — single-row requests are micro-batched with their
-// concurrent company into one pipeline batch (results are bit-identical
-// to solo scoring) — and overload answers 429 with Retry-After instead
-// of queueing without bound.
+// case-sensitive field "vectors": 1 to 4096 arrays of JSON numbers, each
+// as wide as the deployed model's feature count, whitespace where JSON
+// allows it, nothing after the object (no null, no other or repeated
+// field; see decodeScoreRequest). Anything else is a 400. The handler
+// routes first, then decodes only the columns the routed replica's model
+// reads, straight into rows of the selected width; the coalescing
+// serving tier micro-batches them with their concurrent company into one
+// pipeline batch scored by that same model snapshot (results are
+// bit-identical to solo scoring), and overload answers 429 with
+// Retry-After instead of queueing without bound.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, r, http.StatusMethodNotAllowed, "POST a JSON body to /api/score")
 		return
 	}
-	if s.Tier == nil || s.Prodigy == nil || !s.Prodigy.Trained() {
+	var route serve.Route
+	if s.Tier != nil {
+		route = s.Tier.Route()
+	}
+	snap := route.Snapshot()
+	if snap == nil {
 		writeError(w, r, http.StatusServiceUnavailable, "no trained model deployed")
 		return
 	}
-	vectors, err := decodeScoreRequest(http.MaxBytesReader(w, r.Body, maxScoreBodyBytes))
+	cols, selected := snap.Columns()
+	if cols == nil {
+		writeError(w, r, http.StatusInternalServerError,
+			"the deployed model's feature selection does not fit its %d-wide feature space", snap.Width())
+		return
+	}
+	x, err := decodeScoreRequest(http.MaxBytesReader(w, r.Body, maxScoreBodyBytes), cols, selected)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "bad score request: %v", err)
 		return
 	}
-	want := len(s.Prodigy.FeatureNames())
-	if got := len(vectors[0]); got != want {
-		writeError(w, r, http.StatusBadRequest,
-			"vectors have %d features, deployed model expects %d", got, want)
-		return
-	}
-	res, err := s.Tier.ScoreBatch(r.Context(), vectors)
+	res, err := route.Submit(r.Context(), x)
 	if err != nil {
 		switch {
 		case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrStopped):

@@ -33,7 +33,7 @@ func deploy(t *testing.T) (*httptest.Server, int64, int) {
 // configure the server (e.g. arm the drift monitor) before serving.
 func deployServer(t *testing.T) (*server.Server, int64, int) {
 	t.Helper()
-	sys := cluster.NewSystem("test", 8, cluster.EclipseNode(), 0)
+	sys := cluster.NewSystem("test", 8, cluster.EclipseNode())
 	store := dsos.NewStore()
 	builder := pipeline.NewDatasetBuilder(store)
 	builder.Gen.TrimSeconds = 20
