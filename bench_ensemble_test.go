@@ -56,7 +56,7 @@ func ensBenchDataset() *pipeline.Dataset {
 			if label == pipeline.Anomalous {
 				v += 4
 			}
-			x.Set(i, j, v)
+			x.Data[i*x.Cols+j] = v
 		}
 		meta[i] = pipeline.SampleMeta{JobID: int64(i), Label: label}
 	}
@@ -74,7 +74,7 @@ func ensBenchStream() *mat.Matrix {
 			shift = 4
 		}
 		for j := 0; j < ensBenchFeatures; j++ {
-			x.Set(i, j, rng.NormFloat64()+shift)
+			x.Data[i*x.Cols+j] = rng.NormFloat64() + shift
 		}
 	}
 	return x

@@ -61,7 +61,7 @@ func trainServingModel(tb testing.TB, features, topK int) *core.Prodigy {
 			if label == pipeline.Anomalous {
 				v += 3
 			}
-			x.Set(i, j, v)
+			x.Data[i*x.Cols+j] = v
 		}
 		meta[i] = pipeline.SampleMeta{JobID: int64(i), Label: label}
 	}

@@ -188,9 +188,8 @@ func main() {
 		obs.Error("train failed", "err", err)
 		os.Exit(1)
 	}
-	conf := p.Evaluate(ds)
 	obs.Info("trained", "model", p.ModelKind(), "threshold", p.Threshold(),
-		"campaign_macro_f1", conf.MacroF1(), "features", len(p.FeatureNames()))
+		"features", len(p.FeatureNames()))
 
 	if streamDet != nil {
 		replayStream(sys, streamDet, appNames, *duration, *seed, *streamJobs)

@@ -18,11 +18,13 @@ import (
 //     value handed to HandleFunc, a function stored in a registry — so
 //     reference counts as use, not only a call;
 //   - a method is live when it is named directly, or when its receiver
-//     type is live and its name is in the method set of an interface —
-//     the module's interfaces, the ones its code spells, and every
-//     interface exported by a package it imports (fmt.Stringer,
+//     type is live, the type (or a pointer to it) implements an
+//     interface — the module's interfaces, the ones its code spells, and
+//     every interface exported by a package it imports (fmt.Stringer,
 //     sort.Interface, json.Marshaler are dispatched from inside the
-//     standard library).
+//     standard library) — and the method is one of that interface's. A
+//     method that only shares its name with an interface method is not
+//     kept.
 //
 // A type is live when a live body names it or holds a value of it, or
 // when it sits inside a live type (field, element, type argument).
@@ -43,11 +45,11 @@ func (a *DeadCode) Doc() string {
 // Run implements Analyzer.
 func (a *DeadCode) Run(u *Unit, report Reporter) {
 	d := &dcScan{
-		g:            newCallGraph(u),
-		module:       make(map[*types.Package]bool, len(u.Pkgs)),
-		ifaceMethods: interfaceMethods(u),
-		live:         make(map[*types.Func]bool),
-		liveTypes:    make(map[*types.Named]bool),
+		g:         newCallGraph(u),
+		module:    make(map[*types.Package]bool, len(u.Pkgs)),
+		ifaces:    dispatchInterfaces(u),
+		live:      make(map[*types.Func]bool),
+		liveTypes: make(map[*types.Named]bool),
 	}
 	for _, pkg := range u.Pkgs {
 		d.module[pkg.Types] = true
@@ -100,12 +102,12 @@ func (a *DeadCode) Run(u *Unit, report Reporter) {
 
 // dcScan is one DeadCode run's liveness state.
 type dcScan struct {
-	g            *callGraph
-	module       map[*types.Package]bool
-	ifaceMethods map[string]bool // names declared by some interface
-	live         map[*types.Func]bool
-	liveTypes    map[*types.Named]bool // by origin, module and imported alike
-	queue        []*types.Func
+	g         *callGraph
+	module    map[*types.Package]bool
+	ifaces    []*types.Interface // interfaces values may be dispatched through
+	live      map[*types.Func]bool
+	liveTypes map[*types.Named]bool // by origin, module and imported alike
+	queue     []*types.Func
 }
 
 // markFunc makes a module function live and queues its body. Generic
@@ -191,33 +193,60 @@ func (d *dcScan) markTuple(tup *types.Tuple) {
 }
 
 // markDispatched marks the methods of a live named type that an
-// interface could dispatch to: every method of *T's method set (promoted
-// ones included) whose name some interface declares. Matching by name
-// rather than by implementation keeps the rule simple and errs towards
-// liveness.
+// interface could dispatch to: for every interface *T implements (which
+// covers the ones T implements), the methods of *T's method set, promoted
+// ones included, that the interface declares. A generic type is checked
+// as instantiated with its own type parameters, the form its method
+// receivers have.
 func (d *dcScan) markDispatched(named *types.Named) {
 	if types.IsInterface(named) {
 		return
 	}
-	ms := types.NewMethodSet(types.NewPointer(named))
-	for i := 0; i < ms.Len(); i++ {
-		if fn, ok := ms.At(i).Obj().(*types.Func); ok && d.ifaceMethods[fn.Name()] {
-			d.markFunc(fn)
+	var t types.Type = named
+	if tps := named.TypeParams(); tps.Len() > 0 {
+		args := make([]types.Type, tps.Len())
+		for i := range args {
+			args[i] = tps.At(i)
+		}
+		inst, err := types.Instantiate(nil, named, args, false)
+		if err != nil {
+			return
+		}
+		t = inst
+	}
+	ptr := types.NewPointer(t)
+	ms := types.NewMethodSet(ptr)
+	if ms.Len() == 0 {
+		return
+	}
+	for _, iface := range d.ifaces {
+		if !types.Implements(ptr, iface) {
+			continue
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			m := iface.Method(i)
+			if sel := ms.Lookup(m.Pkg(), m.Name()); sel != nil {
+				if fn, ok := sel.Obj().(*types.Func); ok {
+					d.markFunc(fn)
+				}
+			}
 		}
 	}
 }
 
-// interfaceMethods collects the method names of every interface a value
-// of a module type could be dispatched through: error, the interfaces the
-// module's code spells (named or literal, its own or imported), and the
-// exported interfaces of every package the module imports, transitively.
-func interfaceMethods(u *Unit) map[string]bool {
-	out := make(map[string]bool)
+// dispatchInterfaces collects every interface with methods that a value
+// of a module type could be dispatched through: error, the interfaces
+// the module's code spells (named or literal, its own or imported), and
+// the exported interfaces of every package the module imports,
+// transitively. Generic interface declarations are left out; the
+// instances the module spells are in.
+func dispatchInterfaces(u *Unit) []*types.Interface {
+	var out []*types.Interface
+	seen := make(map[*types.Interface]bool)
 	add := func(t types.Type) {
-		if iface, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < iface.NumMethods(); i++ {
-				out[iface.Method(i).Name()] = true
-			}
+		if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 && !seen[iface] {
+			seen[iface] = true
+			out = append(out, iface)
 		}
 	}
 	add(types.Universe.Lookup("error").Type())
@@ -231,6 +260,9 @@ func interfaceMethods(u *Unit) map[string]bool {
 		scope := p.Scope()
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+					continue
+				}
 				add(tn.Type())
 			}
 		}

@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 	"net/http"
+	"sort"
 )
 
 // Shape is dispatched dynamically: Circle.Area is live only through it.
@@ -20,6 +21,21 @@ func (c Circle) String() string { return fmt.Sprint("circle ", c.R) }
 
 // Perimeter is named by no interface and called by no one.
 func (c Circle) Perimeter() float64 { return 6 * c.R } //want:deadcode
+
+// Model is live, but its Swap only shares a name with sort.Interface's:
+// Model implements no interface that declares it, so no dispatch reaches
+// it.
+type Model struct{ gen int }
+
+func (m *Model) Swap(next *Model) error { m.gen = next.gen; return nil } //want:deadcode
+
+// byLen implements sort.Interface through its pointer (Swap has a
+// pointer receiver): sort.Sort dispatches to all three methods.
+type byLen []string
+
+func (b byLen) Len() int           { return len(b) }
+func (b byLen) Less(i, j int) bool { return len(b[i]) < len(b[j]) }
+func (b *byLen) Swap(i, j int)     { (*b)[i], (*b)[j] = (*b)[j], (*b)[i] }
 
 // onlyTests is called from main_test.go alone, which is not part of the
 // program.
@@ -59,6 +75,9 @@ type Stack[T any] struct{ items []T }
 
 func (s *Stack[T]) Push(x T) { s.items = append(s.items, x) }
 
+// String is live through fmt.Stringer, which *Stack[int] implements.
+func (s *Stack[T]) String() string { return fmt.Sprint(s.items) }
+
 // Pop is named by no interface and called by no one, generic or not.
 func (s *Stack[T]) Pop() T { //want:deadcode
 	x := s.items[len(s.items)-1]
@@ -79,5 +98,9 @@ func main() {
 	mux.HandleFunc("/", srv.handle)
 	st := &Stack[int]{}
 	st.Push(1)
-	fmt.Println(Map([]float64{1, 2}, registry["double"]), len(table), st.items)
+	fmt.Println(Map([]float64{1, 2}, registry["double"]), len(table), st)
+	m := &Model{gen: 1}
+	words := byLen{"ccc", "a", "bb"}
+	sort.Sort(&words)
+	fmt.Println(m.gen, words)
 }

@@ -15,13 +15,13 @@ func gaussianWithOutliers(nIn, nOut, dim int, rng *rand.Rand) (*mat.Matrix, []in
 	labels := make([]int, nIn+nOut)
 	for i := 0; i < nIn; i++ {
 		for j := 0; j < dim; j++ {
-			x.Set(i, j, rng.NormFloat64())
+			x.Data[i*x.Cols+j] = rng.NormFloat64()
 		}
 	}
 	for i := nIn; i < nIn+nOut; i++ {
 		labels[i] = 1
 		for j := 0; j < dim; j++ {
-			x.Set(i, j, 10+rng.NormFloat64())
+			x.Data[i*x.Cols+j] = 10 + rng.NormFloat64()
 		}
 	}
 	return x, labels

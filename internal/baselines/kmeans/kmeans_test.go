@@ -28,12 +28,12 @@ func TestRecoversTwoClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := mat.New(200, 2)
 	for i := 0; i < 100; i++ {
-		x.Set(i, 0, rng.NormFloat64()*0.1)
-		x.Set(i, 1, rng.NormFloat64()*0.1)
+		x.Data[i*x.Cols] = rng.NormFloat64() * 0.1
+		x.Data[i*x.Cols+1] = rng.NormFloat64() * 0.1
 	}
 	for i := 100; i < 200; i++ {
-		x.Set(i, 0, 5+rng.NormFloat64()*0.1)
-		x.Set(i, 1, 5+rng.NormFloat64()*0.1)
+		x.Data[i*x.Cols] = 5 + rng.NormFloat64()*0.1
+		x.Data[i*x.Cols+1] = 5 + rng.NormFloat64()*0.1
 	}
 	km, _ := New(Config{K: 2, MaxIter: 50, Contamination: 0.1, Seed: 1})
 	if err := km.Fit(x); err != nil {

@@ -13,8 +13,8 @@ func clusterWithOutliers(nIn, nOut int, rng *rand.Rand) (*mat.Matrix, []int) {
 	x := mat.New(nIn+nOut, 2)
 	labels := make([]int, nIn+nOut)
 	for i := 0; i < nIn; i++ {
-		x.Set(i, 0, rng.NormFloat64()*0.5)
-		x.Set(i, 1, rng.NormFloat64()*0.5)
+		x.Data[i*x.Cols] = rng.NormFloat64() * 0.5
+		x.Data[i*x.Cols+1] = rng.NormFloat64() * 0.5
 	}
 	for i := nIn; i < nIn+nOut; i++ {
 		labels[i] = 1
@@ -22,8 +22,8 @@ func clusterWithOutliers(nIn, nOut int, rng *rand.Rand) (*mat.Matrix, []int) {
 		// cluster (LOF cannot flag a micro-cluster larger than k).
 		angle := rng.Float64() * 2 * math.Pi
 		radius := 6 + rng.Float64()*10
-		x.Set(i, 0, radius*math.Cos(angle))
-		x.Set(i, 1, radius*math.Sin(angle))
+		x.Data[i*x.Cols] = radius * math.Cos(angle)
+		x.Data[i*x.Cols+1] = radius * math.Sin(angle)
 	}
 	return x, labels
 }

@@ -21,7 +21,7 @@ func clusterData(nHealthy, nAnom, dim int, rng *rand.Rand) (healthy, anom *mat.M
 	for i := 0; i < nHealthy; i++ {
 		c := centroids.Row(rng.Intn(3))
 		for j := 0; j < dim; j++ {
-			healthy.Set(i, j, c[j]+rng.NormFloat64()*0.02)
+			healthy.Data[i*healthy.Cols+j] = c[j] + rng.NormFloat64()*0.02
 		}
 	}
 	anom = mat.New(nAnom, dim)
@@ -32,7 +32,7 @@ func clusterData(nHealthy, nAnom, dim int, rng *rand.Rand) (healthy, anom *mat.M
 			if j%3 == 0 {
 				shift = 0.35
 			}
-			anom.Set(i, j, c[j]+shift+rng.NormFloat64()*0.02)
+			anom.Data[i*anom.Cols+j] = c[j] + shift + rng.NormFloat64()*0.02
 		}
 	}
 	return healthy, anom

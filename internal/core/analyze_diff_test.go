@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"prodigy/internal/cluster"
@@ -263,87 +262,6 @@ func TestPrunedAnalysisMatchesReference(t *testing.T) {
 			}, solo(tc.p))
 		})
 	}
-}
-
-// TestPrunedAnalysisAcrossSwap swaps between two artifacts whose
-// selections differ. Sequentially, each analysis must match the reference
-// of the model deployed at the time. Concurrently with a swapping
-// goroutine, every analysis must match one of the two references as a
-// whole: a detector paired with the other artifact's plan would read
-// cells the plan never wrote.
-func TestPrunedAnalysisAcrossSwap(t *testing.T) {
-	ds, store, jobs := diffCampaign(t, 62)
-	// The first model reads fewer features than the second, so a plan
-	// left over from it cannot cover the second model's selection.
-	p := core.New(diffConfig(12))
-	if err := p.Fit(ds, nil); err != nil {
-		t.Fatal(err)
-	}
-	other := core.New(diffConfig(40))
-	if err := other.Fit(ds, nil); err != nil {
-		t.Fatal(err)
-	}
-	artA, artB := p.Artifact(), other.Artifact()
-	if len(artA.Selection.Indices) == len(artB.Selection.Indices) {
-		t.Fatal("the two artifacts should select different feature sets")
-	}
-
-	refs := map[int64][2][]core.NodePrediction{}
-	for _, art := range []int{0, 1} {
-		if err := p.Swap([]*pipeline.Artifact{artA, artB}[art]); err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstReference(t, store, jobs, 20, func(job int64) ([]core.NodePrediction, error) {
-			return p.AnalyzeJobPoisoned(store, job)
-		}, solo(p))
-		for _, job := range jobs {
-			r := refs[job]
-			r[art] = referenceAnalysis(t, store, job, 20, solo(p))
-			refs[job] = r
-		}
-	}
-
-	stop := make(chan struct{})
-	var swapper sync.WaitGroup
-	swapper.Add(1)
-	go func() {
-		defer swapper.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := p.Swap([]*pipeline.Artifact{artA, artB}[i%2]); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	var readers sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		readers.Add(1)
-		go func(g int) {
-			defer readers.Done()
-			for i := 0; i < 12; i++ {
-				job := jobs[(g+i)%len(jobs)]
-				got, err := p.AnalyzeJob(store, job)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				_, okA := sameAnalysis(got, refs[job][0])
-				_, okB := sameAnalysis(got, refs[job][1])
-				if !okA && !okB {
-					t.Errorf("job %d: analysis during swaps matches neither deployed model: %+v", job, got)
-					return
-				}
-			}
-		}(g)
-	}
-	readers.Wait()
-	close(stop)
-	swapper.Wait()
 }
 
 // TestHeteroPrunedAnalysisMatchesReference routes each node of mixed

@@ -38,15 +38,10 @@ import (
 )
 
 // Deployment telemetry (DESIGN.md §8): the gauges describe the model
-// snapshot most recently deployed in this process (Fit, Swap or Load —
-// with several Prodigy instances the last deployment wins, which matches
-// the one-deployed-model-per-process serving shape of §4). The swap
-// counter is the retrain/redeploy event stream the drift story hangs off.
+// snapshot most recently deployed in this process (Fit or Load — with
+// several Prodigy instances the last deployment wins, which matches the
+// one-deployed-model-per-process serving shape of §4).
 var (
-	modelSwaps = obs.Default.NewCounter("prodigy_model_swaps_total",
-		"Hot model swaps deployed through Prodigy.Swap.")
-	modelGeneration = obs.Default.NewGauge("prodigy_model_generation",
-		"Generation of the deployed model artifact; Fit, Swap and Load each advance it.")
 	modelThreshold = obs.Default.NewGauge("prodigy_model_threshold",
 		"Decision threshold of the deployed model.")
 	modelFeatures = obs.Default.NewGauge("prodigy_model_features",
@@ -92,10 +87,10 @@ func DefaultConfig() Config {
 //
 // All read paths (Detect, Scores, AnalyzeJob, DetectVector, Explain…) load
 // the deployed detector through one atomic pointer, so any number of
-// goroutines may score concurrently while Fit or Swap installs a new
-// artifact: readers in flight finish against the old model, later readers
-// see the new one, and nobody stalls. Fit, TuneThreshold and SetExplainPool
-// are deployment-time operations — run them from one goroutine.
+// goroutines may score concurrently while Fit installs a new artifact:
+// readers in flight finish against the old model, later readers see the
+// new one, and nobody stalls. Fit, TuneThreshold and SetExplainPool are
+// deployment-time operations — run them from one goroutine.
 type Prodigy struct {
 	Cfg Config
 	// deployed is the live model snapshot: the detector together with the
@@ -105,23 +100,15 @@ type Prodigy struct {
 	// healthyTrain retains the healthy training pool (full feature space)
 	// for CoMTE distractors.
 	healthyTrain atomic.Pointer[mat.Matrix]
-	// generation counts deployments into this instance (Fit, Swap, Load)
-	// and numbers each snapshot; /api/health reports the deployed one so
-	// operators can tell which artifact answered.
-	generation atomic.Uint64
-	// baseline is the last-known-good score-distribution snapshot the
-	// score-shift alert compares live scoring against (see adoptBaseline).
-	baseline atomic.Pointer[obs.SketchSnapshot]
 }
 
 // Snapshot is one deployed model: the detector together with what its
 // feature selection compiles to, published as one. AnalyzeJob extracts
 // only the (metric, extractor) cells the selection reads, and /api/score
 // decodes only the columns it reads, so the plan and the column map must
-// always describe the detector they are published with: a Swap to an
-// artifact with another selection replaces all of them in one atomic
-// store. A Snapshot is immutable; the serving tier holds one per request
-// and scores the request with it, whatever has been deployed since.
+// always describe the detector they are published with: a Fit replaces
+// all of them in one atomic store. A Snapshot is immutable; each shard of
+// the serving tier pins the one its replica had when the tier was built.
 type Snapshot struct {
 	det *pipeline.AnomalyDetector
 	// cat is the catalog the plan was compiled against.
@@ -133,14 +120,12 @@ type Snapshot struct {
 	// row, or -1 for a column the model does not read; nil when the
 	// selection names a column twice or one outside the feature space.
 	cols []int
-	// gen is the deployment generation this snapshot was installed as.
-	gen uint64
 }
 
 // newSnapshot compiles the extraction plan and the column map of det's
 // selection over cat.
-func newSnapshot(det *pipeline.AnomalyDetector, cat *features.Catalog, gen uint64) *Snapshot {
-	d := &Snapshot{det: det, cat: cat, gen: gen}
+func newSnapshot(det *pipeline.AnomalyDetector, cat *features.Catalog) *Snapshot {
+	d := &Snapshot{det: det, cat: cat}
 	a := det.Artifact()
 	per, width := cat.NumFeaturesPerSeries(), len(a.FullFeatureNames)
 	if a.Selection != nil && per > 0 && width%per == 0 {
@@ -183,9 +168,6 @@ func (d *Snapshot) Columns() (cols []int, selected int) {
 	return d.cols, len(d.det.Artifact().Selection.Indices)
 }
 
-// Generation is the deployment generation the snapshot was installed as.
-func (d *Snapshot) Generation() uint64 { return d.gen }
-
 // SelectRow writes the selected columns of one full-width vector into
 // dst, in selection order.
 func (d *Snapshot) SelectRow(dst, vec []float64) {
@@ -203,82 +185,33 @@ func (d *Snapshot) DetectSelected(x *mat.Matrix) (preds []int, scores []float64,
 	return preds, scores, d.det.Threshold()
 }
 
-// Baseline-adoption gates: a deployment's outgoing score distribution
-// becomes the new baseline only when it carries enough mass to mean
-// something and does not itself look shifted against the current
-// baseline — so swapping *away* from a degenerate model never launders
-// its distribution into the reference.
-const (
-	// baselineMinObservations an outgoing sketch needs before its
-	// snapshot is eligible as a baseline.
-	baselineMinObservations = 64
-	// baselineAdoptMaxKS is the largest live-vs-baseline KS statistic at
-	// which the outgoing distribution still counts as "good" and
-	// refreshes the baseline (keeping it current against benign drift).
-	baselineAdoptMaxKS = 0.2
-)
-
-// adoptBaseline considers the outgoing detector's score distribution as
-// the new baseline at deployment time. Called from deploy, before the
-// new detector is installed.
-func (p *Prodigy) adoptBaseline(outgoing *pipeline.AnomalyDetector) {
-	if outgoing == nil {
-		return
-	}
-	snap := outgoing.ScoreSketch().Snapshot()
-	if snap.Total < baselineMinObservations {
-		return
-	}
-	base := p.baseline.Load()
-	if base != nil {
-		if stat, _ := drift.KSFromCounts(snap.CountsSlice(), base.CountsSlice()); stat >= baselineAdoptMaxKS {
-			// The outgoing distribution is itself shifted — keep the
-			// last-known-good reference instead.
-			return
-		}
-	}
-	p.baseline.Store(snap)
-}
-
 // ScoreShift tests the live score distribution of the deployed detector
-// against the baseline snapshot captured at deployment: the KS statistic,
-// its p-value, and how many live observations back the verdict. ok is
-// false until both a baseline and a deployed detector exist — alert rules
-// treat that as "not evaluable", never as "no shift".
+// against its artifact's baseline, the healthy training scores the
+// threshold was taken from: the KS statistic, its p-value, and how many
+// live observations back the verdict. ok is false while untrained or
+// when the artifact's baseline does not fit the sketch (an artifact saved
+// before baselines existed has none) — alert rules treat that as "not
+// evaluable", never as "no shift".
 func (p *Prodigy) ScoreShift() (stat, pValue float64, n uint64, ok bool) {
 	dep := p.deployed.Load()
-	base := p.baseline.Load()
-	if dep == nil || base == nil {
+	if dep == nil {
 		return 0, 1, 0, false
 	}
 	live := dep.det.ScoreSketch().Snapshot()
-	stat, pValue = drift.KSFromCounts(live.CountsSlice(), base.CountsSlice())
+	base := dep.det.Artifact().Baseline
+	if len(base) != len(live.Counts) {
+		return 0, 1, 0, false
+	}
+	stat, pValue = drift.KSFromCounts(live.CountsSlice(), base)
 	return stat, pValue, live.Total, true
 }
 
 // deploy installs a detector with its extraction plan and publishes the
-// snapshot's metadata. The outgoing detector's score distribution is
-// considered as the new score-shift baseline first (last-known-good
-// semantics, see adoptBaseline).
+// snapshot's metadata.
 func (p *Prodigy) deploy(det *pipeline.AnomalyDetector) {
-	if cur := p.deployed.Load(); cur != nil {
-		p.adoptBaseline(cur.det)
-	}
-	gen := p.generation.Add(1)
-	p.deployed.Store(newSnapshot(det, p.Cfg.catalog(), gen))
-	modelGeneration.Set(float64(gen))
+	p.deployed.Store(newSnapshot(det, p.Cfg.catalog()))
 	modelThreshold.Set(det.Threshold())
 	modelFeatures.Set(float64(len(det.Artifact().FullFeatureNames)))
-}
-
-// Generation returns the deployed snapshot's generation: how many model
-// deployments (Fit, Swap, Load) this instance had seen when it was
-// installed; 0 means untrained.
-func (p *Prodigy) Generation() uint64 {
-	if d := p.deployed.Load(); d != nil {
-		return d.gen
-	}
-	return 0
 }
 
 // Snapshot returns the deployed model snapshot, or nil while untrained.
@@ -382,28 +315,6 @@ func (p *Prodigy) FitEnsemble(train, selectionSet *pipeline.Dataset, cfg ensembl
 	return nil
 }
 
-// Swap atomically deploys a retrained artifact, replacing the current model
-// without stalling concurrent readers: requests in flight finish against
-// the old model, later requests score with the new one. The artifact must
-// carry the same extraction settings as the deployed one — a hot swap
-// replaces weights and threshold, not the feature pipeline.
-func (p *Prodigy) Swap(artifact *pipeline.Artifact) error {
-	det, err := artifact.Detector()
-	if err != nil {
-		return err
-	}
-	if cur := p.deployed.Load(); cur != nil {
-		old := cur.det.Artifact()
-		if artifact.CatalogTier != old.CatalogTier || artifact.TrimSeconds != old.TrimSeconds {
-			return fmt.Errorf("core: hot swap changes extraction settings (tier %d→%d, trim %d→%d); redeploy instead",
-				old.CatalogTier, artifact.CatalogTier, old.TrimSeconds, artifact.TrimSeconds)
-		}
-	}
-	p.deploy(det)
-	modelSwaps.Inc()
-	return nil
-}
-
 // Trained reports whether Fit has completed.
 func (p *Prodigy) Trained() bool { return p.deployed.Load() != nil }
 
@@ -485,7 +396,7 @@ func (p *Prodigy) analyzeJob(row *mat.Matrix, store *dsos.Store, jobID int64) ([
 	ctx, span := obs.StartSpan(context.Background(), "core.analyze_job")
 	defer span.End()
 	// One atomic load per request: every node of the job is scored against
-	// the same detector and plan even if a hot swap lands mid-analysis.
+	// the same detector and plan even if a Fit lands mid-analysis.
 	dep := p.live()
 	gen := pipeline.NewDataGenerator(store)
 	if p.Cfg.TrimSeconds > 0 {
@@ -663,7 +574,7 @@ func (p *Prodigy) ExplainPool() *mat.Matrix { return p.healthyTrain.Load() }
 
 // Artifact returns the deployed model artifact — the unit of snapshot
 // replication: a serving tier hands it to FromArtifact to stamp out
-// replicas, and to Swap to roll a retrain across them.
+// replicas.
 func (p *Prodigy) Artifact() *pipeline.Artifact { return p.det().Artifact() }
 
 // FromArtifact builds a trained Prodigy directly from an in-memory
@@ -684,8 +595,8 @@ func FromArtifact(artifact *pipeline.Artifact, cfg Config) (*Prodigy, error) {
 
 // DetectBatch scores a batch against one atomically-loaded model snapshot,
 // returning the predictions and scores together with the threshold they
-// were judged against — one detector load for all three, so a serving tier
-// reports a self-consistent verdict even when a hot swap lands mid-flight.
+// were judged against — one detector load for all three, so the verdict
+// is self-consistent even when a Fit lands mid-flight.
 func (p *Prodigy) DetectBatch(xFull *mat.Matrix) (preds []int, scores []float64, threshold float64) {
 	det := p.det()
 	preds, scores = det.Predict(xFull)

@@ -1,105 +1,132 @@
 package core_test
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"prodigy/internal/core"
+	"prodigy/internal/ensemble"
 	"prodigy/internal/mat"
-	"prodigy/internal/pipeline"
 )
 
-// TestScoreShiftBaselineLifecycle pins the last-known-good baseline
-// semantics behind the score-distribution-shift alert: the baseline is
-// captured from the *outgoing* detector at deployment, a shifted outgoing
-// distribution never becomes the reference, and ScoreShift is only
-// evaluable once both a baseline and a deployed detector exist.
+// TestScoreShiftBaselineLifecycle pins the baseline behind the
+// score-distribution-shift alert: training stores the healthy training
+// scores' sketch in the artifact, so the shift is evaluable as soon as
+// Fit or FitEnsemble returns. Traffic from the training campaign compares
+// clean; degenerate traffic, far outside the training range, is flagged.
 func TestScoreShiftBaselineLifecycle(t *testing.T) {
 	ds, _, _ := campaign(t, 53)
-	p := core.New(quickConfig())
-	if err := p.Fit(ds, nil); err != nil {
+	healthy := ds.HealthyIndices()
+	vaeP := core.New(quickConfig())
+	if err := vaeP.Fit(ds, nil); err != nil {
 		t.Fatal(err)
 	}
-
-	// No deployment has ever retired a detector, so there is no baseline:
-	// the alert source must report "not evaluable", never "no shift".
-	if _, _, _, ok := p.ScoreShift(); ok {
-		t.Fatal("ScoreShift evaluable before any baseline exists")
+	ensP := core.New(quickConfig())
+	eCfg := ensemble.Config{
+		Prefilter: "naive", PassFrac: 0.3, Fusion: ensemble.FusionRank,
+		Members: []string{"vae", "lof"}, Seed: 53,
 	}
-
-	// Score healthy traffic so the live sketch carries enough mass to be
-	// eligible as a baseline at the next deployment.
-	for i := 0; i < 3; i++ {
-		p.Scores(ds.X)
-	}
-
-	path := filepath.Join(t.TempDir(), "m.json")
-	if err := p.Save(path); err != nil {
+	if err := ensP.FitEnsemble(ds, nil, eCfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	art, err := pipeline.LoadArtifact(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Swap(art); err != nil {
-		t.Fatal(err)
-	}
-
-	// The outgoing healthy distribution is now the baseline; the fresh
-	// detector's sketch is empty, so the verdict is "no evidence yet".
-	stat, pv, n, ok := p.ScoreShift()
-	if !ok {
-		t.Fatal("ScoreShift not evaluable after baseline adoption")
-	}
-	if n != 0 || stat != 0 || pv != 1 {
-		t.Fatalf("empty live sketch: got stat=%g p=%g n=%d, want 0/1/0", stat, pv, n)
-	}
-
-	// Healthy traffic through the new detector reproduces the baseline
-	// distribution exactly — no shift.
-	for i := 0; i < 3; i++ {
-		p.Scores(ds.X)
-	}
-	_, pv, n, ok = p.ScoreShift()
-	if !ok || n == 0 {
-		t.Fatalf("healthy traffic: ok=%v n=%d", ok, n)
-	}
-	if pv < 0.05 {
-		t.Fatalf("healthy traffic flagged as shifted: p = %g", pv)
-	}
-
-	// Degenerate traffic: inputs far outside the training range blow up
-	// the reconstruction error, shifting the live score distribution.
 	shifted := &mat.Matrix{Rows: ds.X.Rows, Cols: ds.X.Cols, Data: append([]float64(nil), ds.X.Data...)}
 	for i := range shifted.Data {
 		shifted.Data[i] = shifted.Data[i]*10 + 100
 	}
-	for i := 0; i < 6; i++ {
-		p.Scores(shifted)
-	}
-	stat, pv, _, ok = p.ScoreShift()
-	if !ok {
-		t.Fatal("ScoreShift not evaluable with live traffic")
-	}
-	if pv > 0.01 || stat < 0.2 {
-		t.Fatalf("shifted traffic not flagged: stat=%g p=%g", stat, pv)
-	}
 
-	// Swapping away from the degenerate state must NOT launder its
-	// distribution into the baseline: the KS adoption gate keeps the
-	// last-known-good reference, so healthy traffic on the replacement
-	// detector still compares clean.
-	if err := p.Swap(art); err != nil {
+	for _, tc := range []struct {
+		name string
+		p    *core.Prodigy
+	}{{"vae", vaeP}, {"ensemble", ensP}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			var total uint64
+			for _, c := range p.Artifact().Baseline {
+				total += c
+			}
+			if total != uint64(len(healthy)) {
+				t.Fatalf("baseline holds %d scores, want one per healthy training row (%d)", total, len(healthy))
+			}
+			// No live traffic yet: evaluable, with no evidence of a shift.
+			stat, pv, n, ok := p.ScoreShift()
+			if !ok || n != 0 || stat != 0 || pv != 1 {
+				t.Fatalf("fresh deployment: stat=%g p=%g n=%d ok=%v, want 0/1/0/true", stat, pv, n, ok)
+			}
+
+			for i := 0; i < 3; i++ {
+				p.Scores(ds.X)
+			}
+			_, pv, n, ok = p.ScoreShift()
+			if !ok || n != uint64(3*ds.Len()) {
+				t.Fatalf("campaign traffic: ok=%v n=%d, want %d", ok, n, 3*ds.Len())
+			}
+			if pv < 0.05 {
+				t.Fatalf("campaign traffic flagged as shifted: p = %g", pv)
+			}
+
+			for i := 0; i < 6; i++ {
+				p.Scores(shifted)
+			}
+			stat, pv, _, ok = p.ScoreShift()
+			if !ok || pv > 0.01 || stat < 0.2 {
+				t.Fatalf("degenerate traffic not flagged: stat=%g p=%g ok=%v", stat, pv, ok)
+			}
+		})
+	}
+}
+
+// TestScoreShiftBaselinePersists checks that Save→Load keeps the
+// baseline, and that an artifact saved without one loads with its score
+// shift not evaluable rather than reported as "no shift".
+func TestScoreShiftBaselinePersists(t *testing.T) {
+	ds, _, _ := campaign(t, 54)
+	cfg := quickConfig()
+	p := core.New(cfg)
+	if err := p.Fit(ds, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		p.Scores(ds.X)
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := p.Save(path); err != nil {
+		t.Fatal(err)
 	}
-	_, pv, _, ok = p.ScoreShift()
-	if !ok {
-		t.Fatal("ScoreShift not evaluable after swap-back")
+	loaded, err := core.Load(path, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pv < 0.05 {
-		t.Fatalf("baseline polluted by degenerate outgoing distribution: p = %g", pv)
+	if !slices.Equal(loaded.Artifact().Baseline, p.Artifact().Baseline) {
+		t.Fatal("Save→Load changed the baseline")
+	}
+	if _, _, _, ok := loaded.ScoreShift(); !ok {
+		t.Fatal("loaded model's score shift not evaluable")
+	}
+
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["baseline"]; !ok {
+		t.Fatal("saved artifact has no baseline field")
+	}
+	delete(fields, "baseline")
+	if blob, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := core.Load(path, cfg)
+	if err != nil {
+		t.Fatalf("artifact without a baseline does not load: %v", err)
+	}
+	old.Scores(ds.X)
+	if stat, pv, n, ok := old.ScoreShift(); ok {
+		t.Fatalf("artifact without a baseline: stat=%g p=%g n=%d evaluable", stat, pv, n)
 	}
 }

@@ -31,8 +31,9 @@ type TrainOptions struct {
 // all sharing a single feature selection, run concurrently through
 // pipeline.TrainAll; then the pre-filter and rank references calibrate
 // on the shared scaled healthy matrix, the decision threshold is the
-// trainer's percentile of the cascade's own training scores, and the
-// result bundles into one swap-able artifact (ModelKind "ensemble").
+// trainer's percentile of the cascade's own training scores, which also
+// form the score-shift baseline, and the result bundles into one
+// artifact (ModelKind "ensemble").
 func Train(opts TrainOptions) (*pipeline.Artifact, error) {
 	cfg := opts.Cfg
 	if len(cfg.Members) == 0 {
@@ -103,8 +104,6 @@ func Train(opts TrainOptions) (*pipeline.Artifact, error) {
 	if err := e.Calibrate(xScaled); err != nil {
 		return nil, err
 	}
-	scores := e.Scores(xScaled)
-	threshold := mat.Percentile(scores, opts.Trainer.ThresholdPercentile)
-	return pipeline.AssembleArtifact(e, scaler, selection, threshold,
+	return pipeline.AssembleArtifact(e, scaler, selection, e.Scores(xScaled),
 		opts.Trainer.ThresholdPercentile, opts.Train.FeatureNames)
 }

@@ -85,7 +85,14 @@ func RunTable3(budget Budget, seed int64) (*Table3Result, error) {
 		epochScale = 0.1 // scale epoch counts to keep the quick sweep fast
 	}
 
+	// Every grid point is an independent fit over the same split and
+	// selection: train them all concurrently through TrainAll (per-model
+	// results are identical to fitting them one by one), then score each
+	// on the test split. The first len(res.Prodigy) jobs are the VAE
+	// points, the rest the USAD points.
 	res := &Table3Result{}
+	var jobs []pipeline.TrainJob
+	var prodigyCfgs []core.Config
 	for _, lr := range lrs {
 		for _, bs := range batches {
 			for _, ep := range epochsList {
@@ -97,14 +104,22 @@ func RunTable3(budget Budget, seed int64) (*Table3Result, error) {
 					Epochs: int(float64(ep)*epochScale + 0.5),
 					Beta:   1e-3, ClipNorm: 5, Seed: seed,
 				}
-				p := core.New(pCfg)
-				if err := p.FitWithSelection(train, nil, selection); err != nil {
-					return nil, err
-				}
-				p.TuneThreshold(test)
+				vaeCfg := pCfg.VAE
+				jobs = append(jobs, pipeline.TrainJob{
+					Trainer: &pipeline.ModelTrainer{
+						Cfg: pCfg.Trainer,
+						NewModel: func(in int) (pipeline.Model, error) {
+							cfg := vaeCfg
+							cfg.InputDim = in
+							return pipeline.NewVAEModel(cfg)
+						},
+					},
+					Train:     train,
+					Selection: selection,
+				})
+				prodigyCfgs = append(prodigyCfgs, pCfg)
 				res.Prodigy = append(res.Prodigy, GridPoint{
 					Params: map[string]float64{"lr": lr, "batch": bs, "epochs": float64(ep)},
-					F1:     p.Evaluate(test).MacroF1(),
 				})
 			}
 		}
@@ -113,39 +128,52 @@ func RunTable3(budget Budget, seed int64) (*Table3Result, error) {
 		for _, ep := range uEpochs {
 			for _, hid := range uHidden {
 				for _, ab := range uAB {
-					trainer := &pipeline.ModelTrainer{
-						Cfg: pipeline.TrainerConfig{TopK: topK, ThresholdPercentile: 99, ScalerKind: "minmax"},
-						NewModel: func(in int) (pipeline.Model, error) {
-							cfg := usad.DefaultConfig(in)
-							cfg.Seed = seed
-							cfg.BatchSize = int(bs)
-							cfg.Epochs = int(float64(ep)*epochScale + 0.5)
-							if cfg.Epochs < 5 {
-								cfg.Epochs = 5
-							}
-							cfg.WarmupEpochs = cfg.Epochs / 2
-							cfg.HiddenSize = hid
-							cfg.Alpha = ab
-							cfg.Beta = ab
-							return pipeline.NewUSADModel(cfg)
+					jobs = append(jobs, pipeline.TrainJob{
+						Trainer: &pipeline.ModelTrainer{
+							Cfg: pipeline.TrainerConfig{TopK: topK, ThresholdPercentile: 99, ScalerKind: "minmax"},
+							NewModel: func(in int) (pipeline.Model, error) {
+								cfg := usad.DefaultConfig(in)
+								cfg.Seed = seed
+								cfg.BatchSize = int(bs)
+								cfg.Epochs = int(float64(ep)*epochScale + 0.5)
+								if cfg.Epochs < 5 {
+									cfg.Epochs = 5
+								}
+								cfg.WarmupEpochs = cfg.Epochs / 2
+								cfg.HiddenSize = hid
+								cfg.Alpha = ab
+								cfg.Beta = ab
+								return pipeline.NewUSADModel(cfg)
+							},
 						},
-					}
-					artifact, err := trainer.Train(train, nil, selection)
-					if err != nil {
-						return nil, err
-					}
-					det, err := artifact.Detector()
-					if err != nil {
-						return nil, err
-					}
-					_, f1 := eval.BestThreshold(det.Scores(test.X), test.Labels(), 0, 1, 0.001)
+						Train:     train,
+						Selection: selection,
+					})
 					res.USAD = append(res.USAD, GridPoint{
 						Params: map[string]float64{"batch": bs, "epochs": float64(ep), "hidden": float64(hid), "alpha_beta": ab},
-						F1:     f1,
 					})
 				}
 			}
 		}
+	}
+	arts, err := pipeline.TrainAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range res.Prodigy {
+		p, err := core.FromArtifact(arts[i], prodigyCfgs[i])
+		if err != nil {
+			return nil, err
+		}
+		p.TuneThreshold(test)
+		res.Prodigy[i].F1 = p.Evaluate(test).MacroF1()
+	}
+	for i := range res.USAD {
+		det, err := arts[len(res.Prodigy)+i].Detector()
+		if err != nil {
+			return nil, err
+		}
+		_, res.USAD[i].F1 = eval.BestThreshold(det.Scores(test.X), test.Labels(), 0, 1, 0.001)
 	}
 	return res, nil
 }

@@ -19,9 +19,9 @@ func makeDataset(n int, rng *rand.Rand) (*mat.Matrix, []int) {
 		if y[i] == 1 {
 			base = 10
 		}
-		x.Set(i, 0, base+rng.Float64())     // strong signal
-		x.Set(i, 1, rng.Float64())          // noise
-		x.Set(i, 2, base/5+rng.Float64()*2) // weak signal
+		x.Data[i*x.Cols] = base + rng.Float64()       // strong signal
+		x.Data[i*x.Cols+1] = rng.Float64()            // noise
+		x.Data[i*x.Cols+2] = base/5 + rng.Float64()*2 // weak signal
 	}
 	return x, y
 }
@@ -53,7 +53,7 @@ func TestChiSquareHandlesNegativeValues(t *testing.T) {
 	y := make([]int, 100)
 	for i := 0; i < 100; i++ {
 		y[i] = i % 2
-		x.Set(i, 0, -50+float64(y[i])*20+rng.Float64())
+		x.Data[i*x.Cols] = -50 + float64(y[i])*20 + rng.Float64()
 	}
 	scores, err := ChiSquare(x, y, nil)
 	if err != nil {
@@ -148,8 +148,8 @@ func TestQuickChi2Invariants(t *testing.T) {
 		y := make([]int, n)
 		for i := 0; i < n; i++ {
 			y[i] = i % 2
-			x.Set(i, 0, rng.Float64()*10)
-			x.Set(i, 1, rng.Float64()*10)
+			x.Data[i*x.Cols] = rng.Float64() * 10
+			x.Data[i*x.Cols+1] = rng.Float64() * 10
 		}
 		s1, err := ChiSquare(x, y, nil)
 		if err != nil {
@@ -165,7 +165,7 @@ func TestQuickChi2Invariants(t *testing.T) {
 		// changes but stays non-negative and finite).
 		scaled := x.Clone()
 		for i := 0; i < n; i++ {
-			scaled.Set(i, 0, scaled.At(i, 0)*7)
+			scaled.Data[i*scaled.Cols] = scaled.At(i, 0) * 7
 		}
 		s2, err := ChiSquare(scaled, y, nil)
 		if err != nil {
@@ -187,7 +187,7 @@ func TestQuickConstantFeatureZero(t *testing.T) {
 		c := rng.Float64() * 100
 		y := make([]int, n)
 		for i := 0; i < n; i++ {
-			x.Set(i, 0, c)
+			x.Data[i*x.Cols] = c
 			y[i] = i % 2
 		}
 		s, err := ChiSquare(x, y, nil)
@@ -213,9 +213,9 @@ func TestSelectTopKByKurtosis(t *testing.T) {
 		if i%20 == 0 {
 			v += 30
 		}
-		x.Set(i, 0, v)
-		x.Set(i, 1, rng.Float64())
-		x.Set(i, 2, 5)
+		x.Data[i*x.Cols] = v
+		x.Data[i*x.Cols+1] = rng.Float64()
+		x.Data[i*x.Cols+2] = 5
 	}
 	got := SelectTopKByKurtosis(x, 1)
 	if got[0] != 0 {
@@ -225,7 +225,7 @@ func TestSelectTopKByKurtosis(t *testing.T) {
 	// ranking (unlike variance ranking).
 	scaled := x.Clone()
 	for i := 0; i < 200; i++ {
-		scaled.Set(i, 1, scaled.At(i, 1)*1e6)
+		scaled.Data[i*scaled.Cols+1] = scaled.At(i, 1) * 1e6
 	}
 	if SelectTopKByKurtosis(scaled, 1)[0] != 0 {
 		t.Fatal("kurtosis ranking must be scale-invariant")

@@ -16,7 +16,7 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 			for k := 0; k < a.Cols; k++ {
 				s += a.At(i, k) * b.At(k, j)
 			}
-			out.Set(i, j, s)
+			out.Data[i*out.Cols+j] = s
 		}
 	}
 	return out
@@ -235,7 +235,7 @@ func TestSelectIntoAndAddRowVectorInto(t *testing.T) {
 	v := []float64{1, 2, 3, 4, 5}
 	eye := New(5, 5)
 	for i := 0; i < 5; i++ {
-		eye.Set(i, i, 1)
+		eye.Data[i*eye.Cols+i] = 1
 	}
 	got := MatMulBiasInto(&Matrix{}, m, eye, v)
 	for i := 0; i < m.Rows; i++ {

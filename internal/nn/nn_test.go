@@ -99,7 +99,7 @@ func TestBCEGradientCheck(t *testing.T) {
 	x := mat.Randn(6, 3, 1, rng)
 	y := mat.New(6, 1)
 	for i := 0; i < 6; i++ {
-		y.Set(i, 0, float64(i%2))
+		y.Data[i*y.Cols] = float64(i % 2)
 	}
 	zeroGrads(net)
 	_, grad := bce(forward(net, x), y)

@@ -11,7 +11,7 @@
 //     quantile, frac_over) compared against a threshold — anomaly-rate
 //     spikes, ingest-lag p99, latency SLO burn.
 //   - "score_shift": the live score-distribution sketch tested against
-//     the baseline snapshot captured at model swap, via the drift
+//     the model's training-score baseline, via the drift
 //     package's KS machinery; Threshold is the p-value below which the
 //     shift fires.
 //
@@ -101,7 +101,7 @@ type Rule struct {
 	Severity string `json:"severity,omitempty"`
 	// MinCount gates score_shift: the live sketch must hold at least
 	// this many observations before a shift verdict counts, so a
-	// freshly swapped model is not judged on ten rows.
+	// freshly deployed model is not judged on ten rows.
 	MinCount uint64 `json:"min_count,omitempty"`
 }
 
@@ -169,8 +169,8 @@ const (
 )
 
 // ShiftFunc reports the live score distribution tested against the
-// baseline captured at model swap: the KS statistic, its p-value, the
-// live observation count, and ok=false when either side is missing.
+// model's baseline: the KS statistic, its p-value, the live observation
+// count, and ok=false when either side is missing.
 type ShiftFunc func() (stat, pValue float64, n uint64, ok bool)
 
 // state is one rule's evaluation history.

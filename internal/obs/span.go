@@ -26,9 +26,6 @@ type Span struct {
 	done  atomic.Bool
 }
 
-// Name returns the span's full dotted path.
-func (s *Span) Name() string { return s.name }
-
 // StartSpan begins a traced stage. If ctx already carries a span, the new
 // span's path is parent.child — nested stages attribute their durations to
 // distinct histograms. The returned context carries the new span; pass it

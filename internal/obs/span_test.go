@@ -35,8 +35,8 @@ func TestNestedSpansAttribution(t *testing.T) {
 	if d := spanDurations.With("test_inner").Count() - bareInnerBefore; d != 0 {
 		t.Fatalf("bare inner name must not be touched by a nested span (delta %d)", d)
 	}
-	if grand.Name() != "test_outer.test_inner.leaf" {
-		t.Fatalf("grandchild path = %q", grand.Name())
+	if grand.name != "test_outer.test_inner.leaf" {
+		t.Fatalf("grandchild path = %q", grand.name)
 	}
 	// The outer span covers the inner's sleep.
 	if outerDur < 2*time.Millisecond {

@@ -206,6 +206,11 @@ type Artifact struct {
 	// was trained with so a loaded model reproduces them exactly.
 	CatalogTier int `json:"catalog_tier"`
 	TrimSeconds int `json:"trim_seconds"`
+	// Baseline holds the obs.Sketch bin counts of the healthy training
+	// scores the threshold was taken from: the reference the score-shift
+	// alert tests live scoring against. Artifacts saved before it existed
+	// load without one, and their score shift is not evaluable.
+	Baseline []uint64 `json:"baseline,omitempty"`
 
 	model  Model
 	scaler scale.Scaler
@@ -266,28 +271,8 @@ func (t *ModelTrainer) Train(train *Dataset, selectData *Dataset, selection *fea
 		return nil, err
 	}
 
-	scores := model.Scores(xScaled)
-	threshold := mat.Percentile(scores, t.Cfg.ThresholdPercentile)
-
-	modelBlob, err := json.Marshal(model)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: model not serializable: %w", err)
-	}
-	scalerBlob, err := scale.Marshal(scaler)
-	if err != nil {
-		return nil, err
-	}
-	return &Artifact{
-		ModelKind:           model.Kind(),
-		Model:               modelBlob,
-		Scaler:              scalerBlob,
-		Selection:           selection,
-		Threshold:           threshold,
-		ThresholdPercentile: t.Cfg.ThresholdPercentile,
-		FullFeatureNames:    train.FeatureNames,
-		model:               model,
-		scaler:              scaler,
-	}, nil
+	return AssembleArtifact(model, scaler, selection, model.Scores(xScaled),
+		t.Cfg.ThresholdPercentile, train.FeatureNames)
 }
 
 // TrainJob pairs a ModelTrainer with its datasets for TrainAll.
@@ -325,9 +310,9 @@ func TrainAll(jobs []TrainJob) ([]*Artifact, error) {
 }
 
 // Detector returns an AnomalyDetector over this artifact. Each detector
-// carries a fresh score-distribution sketch (so a model swap naturally
-// starts a clean distribution) and the cost-ledger entry for its model
-// kind, both resolved here — off the hot path.
+// carries a fresh score-distribution sketch (so a new deployment starts
+// a clean distribution) and the cost-ledger entry for its model kind,
+// both resolved here — off the hot path.
 func (a *Artifact) Detector() (*AnomalyDetector, error) {
 	if a.model == nil || a.scaler == nil {
 		if err := a.rehydrate(); err != nil {
@@ -413,13 +398,17 @@ func (a *Artifact) LiveScaler() (scale.Scaler, error) {
 }
 
 // AssembleArtifact bundles an already-fitted model into a deployable
-// Artifact — the path for composite models (the cascade ensemble) whose
-// training doesn't flow through a single ModelTrainer.Train call. The
-// scaler and selection must be the ones the model's fit saw; threshold
-// is the caller's calibrated decision boundary in the model's score
-// space.
+// Artifact: ModelTrainer.Train and the cascade ensemble's training both
+// end here. The scaler and selection must be the ones the model's fit
+// saw; healthyScores are the model's scores of its own scaled healthy
+// training rows. They set the decision threshold (thresholdPercentile
+// of them) and the score-shift baseline (their sketch bin counts).
 func AssembleArtifact(model Model, scaler scale.Scaler, selection *featsel.Selection,
-	threshold, thresholdPercentile float64, fullNames []string) (*Artifact, error) {
+	healthyScores []float64, thresholdPercentile float64, fullNames []string) (*Artifact, error) {
+	baseline := obs.NewSketch()
+	for _, s := range healthyScores {
+		baseline.Observe(s)
+	}
 	modelBlob, err := json.Marshal(model)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: model not serializable: %w", err)
@@ -433,9 +422,10 @@ func AssembleArtifact(model Model, scaler scale.Scaler, selection *featsel.Selec
 		Model:               modelBlob,
 		Scaler:              scalerBlob,
 		Selection:           selection,
-		Threshold:           threshold,
+		Threshold:           mat.Percentile(healthyScores, thresholdPercentile),
 		ThresholdPercentile: thresholdPercentile,
 		FullFeatureNames:    fullNames,
+		Baseline:            baseline.Snapshot().CountsSlice(),
 		model:               model,
 		scaler:              scaler,
 	}, nil
@@ -477,8 +467,8 @@ func LoadArtifact(path string) (*Artifact, error) {
 type AnomalyDetector struct {
 	artifact *Artifact
 	// sketch accumulates this detector's score distribution (fixed
-	// memory, lock-free); fresh per Detector() call, so each deployed
-	// generation is tracked separately.
+	// memory, lock-free); fresh per Detector() call, so each deployment
+	// is tracked separately.
 	sketch *obs.Sketch
 	// cost is the ledger entry for this artifact's model kind.
 	cost *obs.CostEntry

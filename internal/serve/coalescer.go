@@ -14,10 +14,9 @@ import (
 
 // request is one waiter's stake in a coalesced batch.
 type request struct {
-	// x holds the request's rows at the selected width of snap, the
-	// deployment snapshot they were selected under and are scored with.
-	x    *mat.Matrix
-	snap *core.Snapshot
+	// x holds the request's rows at the selected width of the shard's
+	// snapshot.
+	x *mat.Matrix
 	// deadline is the admission deadline: a request still unflushed past
 	// it is shed.
 	deadline time.Time
@@ -37,9 +36,12 @@ type outcome struct {
 // window-bounded batches.
 type shard struct {
 	tier    *Tier
-	id      int
 	replica *core.Prodigy
-	reqC    chan *request
+	// snap is the replica's model snapshot, pinned at tier construction
+	// (nil for an untrained replica): every batch of the shard is
+	// selected under it and scored with it.
+	snap *core.Snapshot
+	reqC chan *request
 	// queued counts rows admitted but not yet staged into a batch; it is
 	// the admission bound and backs the serve_queue_depth gauge.
 	queued atomic.Int64
@@ -57,13 +59,14 @@ type shard struct {
 
 // submit admits one request into the shard's next batch and blocks
 // until the batch flushes, the request is shed, or ctx ends. The rows
-// come either as x, already selected under snap, or as full-width
-// vectors, which are selected only once admitted, so a request shed for
-// a full queue costs no copy. The row reservation against MaxQueue
-// happens before the channel send, and the channel's capacity equals
-// MaxQueue rows, so an admitted send never blocks — which is what makes
-// close(reqC) under the exclusive lock a safe shutdown signal.
-func (s *shard) submit(ctx context.Context, snap *core.Snapshot, x *mat.Matrix, vectors [][]float64) (*Result, error) {
+// come either as x, already selected under the shard's snapshot, or as
+// full-width vectors, which are selected only once admitted, so a
+// request shed for a full queue costs no copy. The row reservation
+// against MaxQueue happens before the channel send, and the channel's
+// capacity equals MaxQueue rows, so an admitted send never blocks —
+// which is what makes close(reqC) under the exclusive lock a safe
+// shutdown signal.
+func (s *shard) submit(ctx context.Context, x *mat.Matrix, vectors [][]float64) (*Result, error) {
 	cfg := &s.tier.cfg
 	rows := len(vectors)
 	if x != nil {
@@ -75,10 +78,10 @@ func (s *shard) submit(ctx context.Context, snap *core.Snapshot, x *mat.Matrix, 
 	if rows > cfg.MaxBatch {
 		return nil, ErrBatchTooLarge
 	}
-	if snap == nil {
+	if s.snap == nil {
 		return nil, ErrUntrained
 	}
-	_, k := snap.Columns()
+	_, k := s.snap.Columns()
 	if x != nil && x.Cols != k {
 		return nil, fmt.Errorf("serve: rows have %d selected features, model selects %d", x.Cols, k)
 	}
@@ -103,10 +106,10 @@ func (s *shard) submit(ctx context.Context, snap *core.Snapshot, x *mat.Matrix, 
 	if x == nil {
 		x = mat.New(rows, k)
 		for i, v := range vectors {
-			snap.SelectRow(x.Row(i), v)
+			s.snap.SelectRow(x.Row(i), v)
 		}
 	}
-	req := &request{x: x, snap: snap, deadline: deadline, enqueued: now, done: make(chan outcome, 1)}
+	req := &request{x: x, deadline: deadline, enqueued: now, done: make(chan outcome, 1)}
 	queueDepth.Add(float64(rows))
 	s.reqC <- req
 	s.mu.RUnlock()
@@ -143,9 +146,8 @@ func (s *shard) run() {
 		if !ok {
 			return
 		}
-		// A request that overflows the open batch (size bound) or was
-		// selected under another snapshot carries over to open the next
-		// one.
+		// A request that overflows the open batch (size bound) carries
+		// over to open the next one.
 		for first != nil {
 			first = s.batchOnce(first)
 		}
@@ -154,12 +156,11 @@ func (s *shard) run() {
 
 // batchOnce collects one batch starting from first and flushes it. The
 // flush rules: the batch closes when the coalescing window elapses
-// (latency bound), the staged rows reach MaxBatch (size bound), a
-// request selected under another snapshot than first arrives (swap), or
-// the admission channel closes (drain). So every batch holds rows of one
-// width and one selection, and is scored by the snapshot they were
-// selected under. Returns the request that arrived but did not join, if
-// any — it opens the next batch.
+// (latency bound), the staged rows reach MaxBatch (size bound), or the
+// admission channel closes (drain). Every request of the shard was
+// selected under its one snapshot, so a batch holds rows of one width
+// and one selection. Returns the request that arrived but did not join,
+// if any — it opens the next batch.
 func (s *shard) batchOnce(first *request) (overflow *request) {
 	cfg := &s.tier.cfg
 	batch := s.batch[:0]
@@ -182,11 +183,6 @@ collect:
 				trigger = flushDrain
 				break collect
 			}
-			if r.snap != first.snap {
-				overflow = r
-				trigger = flushSwap
-				break collect
-			}
 			if rows+r.x.Rows > cfg.MaxBatch {
 				overflow = r
 				trigger = flushSize
@@ -203,8 +199,8 @@ collect:
 	timer.Stop()
 	s.flush(batch, trigger)
 	// Drop the flushed requests before keeping the grown capacity for the
-	// next batch: a stale slot would pin its request's rows and snapshot
-	// until a later batch happened to overwrite it.
+	// next batch: a stale slot would pin its request's rows until a later
+	// batch happened to overwrite it.
 	clear(batch)
 	s.batch = batch[:0]
 	return overflow
@@ -212,7 +208,7 @@ collect:
 
 // flush sheds the batch's expired requests, stages the live rows into a
 // buffer of exactly that many rows, scores them in one call of the
-// batch's snapshot, and demuxes per-request subslices of the output back
+// shard's snapshot, and demuxes per-request subslices of the output back
 // to the waiters. Deadline-aware shedding happens here, at the flush
 // boundary: a request that already waited past its deadline is answered
 // ErrOverloaded instead of being scored late, so overload shows up as
@@ -222,7 +218,6 @@ collect:
 // batch does not hold its buffer for the tier's lifetime.
 func (s *shard) flush(batch []*request, trigger string) {
 	cfg := &s.tier.cfg
-	snap := batch[0].snap
 	now := cfg.Clock.Now()
 	live, rows := 0, 0
 	for _, r := range batch {
@@ -239,7 +234,7 @@ func (s *shard) flush(batch []*request, trigger string) {
 	if rows == 0 {
 		return
 	}
-	_, width := snap.Columns()
+	_, width := s.snap.Columns()
 	ws := mat.GetWorkspace()
 	defer mat.Release(ws)
 	staged := ws.Get(rows, width)
@@ -248,17 +243,16 @@ func (s *shard) flush(batch []*request, trigger string) {
 	}
 	batchRows.Observe(float64(rows))
 	flushTotal.With(trigger).Inc()
-	preds, scores, threshold := snap.DetectSelected(staged)
+	preds, scores, threshold := s.snap.DetectSelected(staged)
 	for _, r := range batch[:live] {
 		waited := now.Sub(r.enqueued)
 		coalesceWait.Observe(waited.Seconds())
 		r.done <- outcome{res: &Result{
-			Scores:     scores[r.off : r.off+r.x.Rows],
-			Preds:      preds[r.off : r.off+r.x.Rows],
-			Threshold:  threshold,
-			Generation: snap.Generation(),
-			BatchRows:  rows,
-			Waited:     waited,
+			Scores:    scores[r.off : r.off+r.x.Rows],
+			Preds:     preds[r.off : r.off+r.x.Rows],
+			Threshold: threshold,
+			BatchRows: rows,
+			Waited:    waited,
 		}}
 	}
 }

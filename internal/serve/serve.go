@@ -13,9 +13,10 @@
 //   - A sharded replica tier stamps N core.Prodigy replicas out of one
 //     trained artifact and consistent-hashes work across them, so
 //     CPU-bound scoring scales across cores without sharing a model
-//     snapshot pointer between flushers. Swap rolls a retrained artifact
-//     replica by replica — in-flight batches finish on the old snapshot,
-//     and per-replica generation numbers expose convergence.
+//     snapshot pointer between flushers. Each shard pins its replica's
+//     model snapshot when the tier is built: a tier serves the snapshots
+//     it was built with, and a retrained model is deployed by building a
+//     new tier.
 //
 //   - Graceful degradation: each shard has a bounded admission queue
 //     measured in rows; requests beyond it are shed immediately
@@ -28,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +37,6 @@ import (
 	"prodigy/internal/ensemble"
 	"prodigy/internal/mat"
 	"prodigy/internal/obs"
-	"prodigy/internal/pipeline"
 )
 
 // Serving-tier telemetry (DESIGN.md §15). Queue depth and the shed
@@ -57,8 +56,6 @@ var (
 		"Coalesced batch flushes by what triggered them.", "trigger")
 	coalesceWait = obs.Default.NewHistogram("serve_coalesce_wait_seconds",
 		"Time a scored request spent queued and coalescing before its batch flushed.", obs.DefBuckets)
-	replicaGen = obs.Default.NewGaugeVec("serve_replica_generation",
-		"Model deployment generation per serving replica; divergence means a Swap is mid-roll.", "replica")
 )
 
 // batchRowBuckets covers 1 row (no coalescing) up to the default size
@@ -74,18 +71,11 @@ const (
 
 	flushWindow = "window"
 	flushSize   = "size"
-	flushSwap   = "swap"
 	flushDrain  = "drain"
 )
 
-// maxReplicas bounds the replica count (and with it the replica metric
-// label set) regardless of configuration.
+// maxReplicas bounds the replica count regardless of configuration.
 const maxReplicas = 64
-
-// replicaLabel maps a replica index to its metric label value.
-//
-//lint:labelsafe replica indices are clamped to [0, maxReplicas) at tier construction
-func replicaLabel(i int) string { return strconv.Itoa(i) }
 
 // Errors the tier answers requests with. Both shed variants map to HTTP
 // 429 + Retry-After at the API layer.
@@ -169,9 +159,6 @@ type Result struct {
 	// Threshold the verdicts were judged against, read from the same model
 	// snapshot that scored the batch.
 	Threshold float64
-	// Generation of the deployment snapshot that scored the batch: the
-	// one the request's rows were selected under.
-	Generation uint64
 	// BatchRows is how many rows the coalesced batch carried in total —
 	// the amortization this request enjoyed.
 	BatchRows int
@@ -192,10 +179,12 @@ type Tier struct {
 
 // NewTier builds the tier over p and starts one flusher goroutine per
 // replica. Replica 0 is p itself; the rest are stamped from p's deployed
-// artifact (snapshot replication) and share its CoMTE distractor pool. If
-// p is untrained, or a replica fails to build, the tier degrades to the
-// replicas it has — scoring through an untrained tier sheds with
-// ErrUntrained. Stop the tier to release its goroutines.
+// artifact (snapshot replication) and share its CoMTE distractor pool.
+// Each shard pins its replica's model snapshot here and scores with it
+// for the tier's lifetime, whatever p deploys later. If p is untrained,
+// or a replica fails to build, the tier degrades to the replicas it has —
+// scoring through an untrained tier sheds with ErrUntrained. Stop the
+// tier to release its goroutines.
 func NewTier(p *core.Prodigy, cfg Config) *Tier {
 	cfg = cfg.withDefaults()
 	t := &Tier{cfg: cfg}
@@ -216,15 +205,14 @@ func NewTier(p *core.Prodigy, cfg Config) *Tier {
 			replicas = append(replicas, rep)
 		}
 	}
-	for i, rep := range replicas {
+	for _, rep := range replicas {
 		sh := &shard{
 			tier:    t,
-			id:      i,
 			replica: rep,
+			snap:    rep.Snapshot(),
 			reqC:    make(chan *request, cfg.MaxQueue),
 		}
 		t.shards = append(t.shards, sh)
-		replicaGen.With(replicaLabel(i)).Set(float64(rep.Generation()))
 		t.wg.Add(1)
 		go func(sh *shard) {
 			defer t.wg.Done()
@@ -242,26 +230,28 @@ func (t *Tier) shardFor(key uint64) *shard {
 	return t.shards[jumpHash(key, len(t.shards))]
 }
 
-// Route is one request's routing decision: the shard it queues on and
-// the deployment snapshot of that shard's replica, read once. A caller
-// decodes or selects the request's rows under Snapshot's column map, then
-// submits them with Submit; the batch they join is scored by that same
-// snapshot, even if a Swap lands in between.
+// Route is one request's routing decision: the shard it queues on. A
+// caller decodes or selects the request's rows under Snapshot's column
+// map, then submits them with Submit; the shard scores every batch with
+// that snapshot.
 type Route struct {
-	sh   *shard
-	snap *core.Snapshot
+	sh *shard
 }
 
-// Route picks the next round-robin shard and reads its replica's
-// snapshot.
+// Route picks the next round-robin shard.
 func (t *Tier) Route() Route {
-	sh := t.shards[int(t.rr.Add(1))%len(t.shards)]
-	return Route{sh: sh, snap: sh.replica.Snapshot()}
+	return Route{sh: t.shards[int(t.rr.Add(1))%len(t.shards)]}
 }
 
-// Snapshot is the deployment snapshot the route's rows must be selected
-// under, or nil while the replica is untrained.
-func (r Route) Snapshot() *core.Snapshot { return r.snap }
+// Snapshot is the model snapshot the route's shard scores with — the
+// one the rows must be selected under — or nil when the replica was
+// untrained at tier construction (or for the zero Route).
+func (r Route) Snapshot() *core.Snapshot {
+	if r.sh == nil {
+		return nil
+	}
+	return r.sh.snap
+}
 
 // Submit coalesces x — rows holding the selected columns of the route's
 // snapshot, in selection order — into the shard's next batch and
@@ -269,24 +259,24 @@ func (r Route) Snapshot() *core.Snapshot { return r.snap }
 // most the window plus scoring time) unless the request is shed or ctx
 // ends first.
 func (r Route) Submit(ctx context.Context, x *mat.Matrix) (*Result, error) {
-	return r.sh.submit(ctx, r.snap, x, nil)
+	return r.sh.submit(ctx, x, nil)
 }
 
 // ScoreBatch scores full-width vectors through a round-robin shard: it
 // routes, checks each vector's width against the route's snapshot, and
 // submits them to be selected into the model's columns once admitted.
 func (t *Tier) ScoreBatch(ctx context.Context, vectors [][]float64) (*Result, error) {
-	rt := t.Route()
-	if rt.snap == nil {
+	sh := t.Route().sh
+	if sh.snap == nil {
 		return nil, ErrUntrained
 	}
-	width := rt.snap.Width()
+	width := sh.snap.Width()
 	for i, v := range vectors {
 		if len(v) != width {
 			return nil, fmt.Errorf("serve: vector %d has %d features, model expects %d", i, len(v), width)
 		}
 	}
-	return rt.sh.submit(ctx, rt.snap, nil, vectors)
+	return sh.submit(ctx, nil, vectors)
 }
 
 // ReplicaForJob returns the replica that job-affine analyses (dashboard,
@@ -294,42 +284,6 @@ func (t *Tier) ScoreBatch(ctx context.Context, vectors [][]float64) (*Result, er
 // hash of KeyForJob, so one job's reads land on one replica.
 func (t *Tier) ReplicaForJob(jobID int64) *core.Prodigy {
 	return t.shardFor(KeyForJob(jobID)).replica
-}
-
-// Swap rolls a retrained artifact across the replicas one at a time —
-// generation-numbered snapshot replication without a stop-the-world:
-// each replica's swap is a single atomic pointer install, in-flight
-// batches finish against the snapshot they loaded, and until the roll
-// completes Generations reports the divergence.
-func (t *Tier) Swap(artifact *pipeline.Artifact) error {
-	for i, sh := range t.shards {
-		if err := sh.replica.Swap(artifact); err != nil {
-			return fmt.Errorf("serve: swap stalled at replica %d of %d: %w", i, len(t.shards), err)
-		}
-		replicaGen.With(replicaLabel(i)).Set(float64(sh.replica.Generation()))
-	}
-	return nil
-}
-
-// Generations returns each replica's model deployment generation.
-func (t *Tier) Generations() []uint64 {
-	out := make([]uint64, len(t.shards))
-	for i, sh := range t.shards {
-		out[i] = sh.replica.Generation()
-	}
-	return out
-}
-
-// Converged reports whether every replica serves the same model
-// generation (no Swap mid-roll).
-func (t *Tier) Converged() bool {
-	gens := t.Generations()
-	for _, g := range gens[1:] {
-		if g != gens[0] {
-			return false
-		}
-	}
-	return true
 }
 
 // QueuedRows returns the rows currently admitted and waiting across all
@@ -354,8 +308,7 @@ func (t *Tier) QueueCapacity() int { return t.cfg.MaxQueue * len(t.shards) }
 // the budget or the admission queue backs past its high-water mark.
 // Replicas stamped from one artifact share one live ensemble, so each
 // distinct ensemble is configured once. No-op for non-ensemble models;
-// returns how many ensembles were configured. Call again after Swap —
-// a retrained artifact carries a fresh ensemble.
+// returns how many ensembles were configured.
 func (t *Tier) ConfigureEnsemble(budgetNs float64) int {
 	seen := make(map[*ensemble.Ensemble]bool)
 	for _, sh := range t.shards {

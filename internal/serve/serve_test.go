@@ -25,15 +25,9 @@ func testProdigy(t testing.TB) *core.Prodigy { return trainProdigy(t, 24) }
 // width; selection still keeps 12 features, so training cost barely
 // grows with it.
 func trainProdigy(t testing.TB, features int) *core.Prodigy {
-	return trainProdigyWith(t, features, 12, 7)
-}
-
-// trainProdigyWith trains on data drawn from seed and keeps topK of the
-// features.
-func trainProdigyWith(t testing.TB, features, topK int, seed int64) *core.Prodigy {
 	t.Helper()
 	const samples = 96
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(7))
 	names := make([]string, features)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%02d", i)
@@ -50,7 +44,7 @@ func trainProdigyWith(t testing.TB, features, topK int, seed int64) *core.Prodig
 			if label == pipeline.Anomalous {
 				v += 3
 			}
-			x.Set(i, j, v)
+			x.Data[i*features+j] = v
 		}
 		meta[i] = pipeline.SampleMeta{JobID: int64(i), Label: label}
 	}
@@ -58,7 +52,7 @@ func trainProdigyWith(t testing.TB, features, topK int, seed int64) *core.Prodig
 	cfg := core.DefaultConfig()
 	cfg.VAE = vae.Config{HiddenDims: []int{16}, LatentDim: 4, Activation: "tanh",
 		LearningRate: 1e-3, BatchSize: 32, Epochs: 4, Seed: 11}
-	cfg.Trainer = pipeline.TrainerConfig{TopK: topK, ThresholdPercentile: 95, ScalerKind: "minmax"}
+	cfg.Trainer = pipeline.TrainerConfig{TopK: 12, ThresholdPercentile: 95, ScalerKind: "minmax"}
 	p := core.New(cfg)
 	if err := p.Fit(ds, ds); err != nil {
 		t.Fatalf("fit: %v", err)
@@ -85,54 +79,61 @@ func randVectorsSeeded(seed int64, n, width int) [][]float64 {
 }
 
 // TestCoalescedBitIdentical proves the tentpole determinism claim: scores
-// obtained through concurrent coalesced submission are bit-identical to
-// per-request direct scoring of the same vectors.
+// obtained through concurrent coalesced submission over two replicas are
+// bit-identical to per-request direct scoring of the same vectors. Half
+// the requests take the handler's pruned path — Route, select the
+// model's 12 of 24 columns under the route's snapshot, Submit — and half
+// go through ScoreBatch with full-width vectors.
 func TestCoalescedBitIdentical(t *testing.T) {
 	p := testProdigy(t)
 	width := len(p.FeatureNames())
 	rng := rand.New(rand.NewSource(21))
 	vecs := randVectors(rng, 200, width)
 
-	tier := NewTier(p, Config{Replicas: 2, Window: 5 * time.Millisecond})
+	// No request may be shed: every one must come back to be checked.
+	tier := NewTier(p, Config{Replicas: 2, Window: 5 * time.Millisecond, Deadline: time.Minute})
 	defer tier.Stop()
+	if tier.Replicas() != 2 {
+		t.Fatalf("got %d replicas, want 2", tier.Replicas())
+	}
 
-	gotScores := make([]float64, len(vecs))
-	gotPreds := make([]int, len(vecs))
-	batchSizes := make([]int, len(vecs))
-	var wg sync.WaitGroup
+	results := make([]*Result, len(vecs))
 	errs := make([]error, len(vecs))
+	var wg sync.WaitGroup
 	for i := range vecs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := tier.ScoreBatch(context.Background(), vecs[i:i+1])
-			if err != nil {
-				errs[i] = err
+			if i%2 == 1 {
+				results[i], errs[i] = tier.ScoreBatch(context.Background(), vecs[i:i+1])
 				return
 			}
-			gotScores[i] = res.Scores[0]
-			gotPreds[i] = res.Preds[0]
-			batchSizes[i] = res.BatchRows
+			rt := tier.Route()
+			snap := rt.Snapshot()
+			_, k := snap.Columns()
+			x := mat.New(1, k)
+			snap.SelectRow(x.Row(0), vecs[i])
+			results[i], errs[i] = rt.Submit(context.Background(), x)
 		}(i)
 	}
 	wg.Wait()
 
 	coalesced := 0
-	for i := range vecs {
+	for i, res := range results {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
 		preds, scores, threshold := p.DetectBatch(mat.NewFromData(1, width, vecs[i]))
-		if gotScores[i] != scores[0] {
-			t.Fatalf("request %d: coalesced score %v != direct score %v", i, gotScores[i], scores[0])
+		if math.Float64bits(res.Scores[0]) != math.Float64bits(scores[0]) {
+			t.Fatalf("request %d: coalesced score %v != direct score %v", i, res.Scores[0], scores[0])
 		}
-		if gotPreds[i] != preds[0] {
-			t.Fatalf("request %d: coalesced pred %d != direct pred %d", i, gotPreds[i], preds[0])
+		if res.Preds[0] != preds[0] {
+			t.Fatalf("request %d: coalesced pred %d != direct pred %d", i, res.Preds[0], preds[0])
 		}
-		if threshold != p.Threshold() {
-			t.Fatalf("threshold drifted during test")
+		if math.Float64bits(res.Threshold) != math.Float64bits(threshold) {
+			t.Fatalf("request %d: threshold %v, want %v", i, res.Threshold, threshold)
 		}
-		if batchSizes[i] > 1 {
+		if res.BatchRows > 1 {
 			coalesced++
 		}
 	}
@@ -169,201 +170,6 @@ func TestMultiRowRequestDemux(t *testing.T) {
 			t.Fatalf("row %d: got %v want %v", i, res.Scores[i], want[i])
 		}
 	}
-}
-
-// TestSwapDuringFlight hammers the tier with scoring while Swap rolls new
-// artifacts across the replicas — the -race companion to the convergence
-// claim. Scores must come from exactly one of the deployed generations'
-// thresholds (self-consistent snapshot), and the tier must converge after
-// the last roll.
-func TestSwapDuringFlight(t *testing.T) {
-	p := testProdigy(t)
-	width := len(p.FeatureNames())
-	artifact := p.Artifact()
-	tier := NewTier(p, Config{Replicas: 3, Window: time.Millisecond})
-	defer tier.Stop()
-	if tier.Replicas() != 3 {
-		t.Fatalf("got %d replicas, want 3", tier.Replicas())
-	}
-	if !tier.Converged() {
-		t.Fatalf("fresh tier not converged: %v", tier.Generations())
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				vecs := randVectors(rng, 1+rng.Intn(3), width)
-				res, err := tier.ScoreBatch(context.Background(), vecs)
-				if err != nil {
-					t.Errorf("score during swap: %v", err)
-					return
-				}
-				if res.Generation == 0 {
-					t.Errorf("result carries generation 0")
-					return
-				}
-			}
-		}(int64(100 + w))
-	}
-	for i := 0; i < 5; i++ {
-		if err := tier.Swap(artifact); err != nil {
-			t.Fatalf("swap %d: %v", i, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if !tier.Converged() {
-		t.Fatalf("tier did not converge after swaps: %v", tier.Generations())
-	}
-	gens := tier.Generations()
-	// Each replica saw its initial deploy plus 5 swaps.
-	if gens[0] < 6 {
-		t.Fatalf("generation %d after 5 swaps, want >= 6", gens[0])
-	}
-}
-
-// TestSwapChangesSelectionInFlight rolls Tier.Swap back and forth
-// between two artifacts that read different columns (12 and 7 of 24, in
-// different orders) while requests flow through the routed path, both
-// as the handler drives it (Route, select under its snapshot, Submit)
-// and through ScoreBatch. Every answer must equal DetectBatch on its
-// full-width rows under the artifact of the generation it reports, bit
-// for bit; a routed request must report the generation it was selected
-// under; and the answers of one flush, which share its output array,
-// must all report one generation.
-func TestSwapChangesSelectionInFlight(t *testing.T) {
-	const width = 24
-	pa, pb := trainProdigyWith(t, width, 12, 7), trainProdigyWith(t, width, 7, 8)
-	artA, artB := pa.Artifact(), pb.Artifact()
-	if fmt.Sprint(artA.Selection.Indices) == fmt.Sprint(artB.Selection.Indices[:7]) {
-		t.Fatal("the two artifacts select the same columns")
-	}
-	// No request may be shed: every one must come back to be checked.
-	tier := NewTier(pa, Config{Replicas: 3, Window: time.Millisecond, Deadline: time.Minute})
-	defer tier.Stop()
-	swapFlushes := flushTotal.With(flushSwap).Value()
-
-	type answer struct {
-		vecs   [][]float64
-		routed uint64 // generation the rows were selected under; 0 via ScoreBatch
-		res    *Result
-	}
-	var (
-		mu      sync.Mutex
-		answers []answer
-		wg      sync.WaitGroup
-	)
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				a := answer{vecs: randVectors(rng, 1+rng.Intn(3), width)}
-				var err error
-				if i%2 == 0 {
-					rt := tier.Route()
-					snap := rt.Snapshot()
-					_, k := snap.Columns()
-					x := mat.New(len(a.vecs), k)
-					for j, v := range a.vecs {
-						snap.SelectRow(x.Row(j), v)
-					}
-					a.routed = snap.Generation()
-					a.res, err = rt.Submit(context.Background(), x)
-				} else {
-					a.res, err = tier.ScoreBatch(context.Background(), a.vecs)
-				}
-				if err != nil {
-					t.Errorf("score during swap: %v", err)
-					return
-				}
-				mu.Lock()
-				answers = append(answers, a)
-				mu.Unlock()
-			}
-		}(int64(300 + w))
-	}
-	for i := 0; i < 8; i++ {
-		time.Sleep(3 * time.Millisecond)
-		art := artB
-		if i%2 == 1 {
-			art = artA
-		}
-		if err := tier.Swap(art); err != nil {
-			t.Fatalf("swap %d: %v", i, err)
-		}
-	}
-	time.Sleep(3 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-
-	// Every replica was deployed with A as generation 1 and swapped to B,
-	// A, B, ... after it: odd generations serve A, even ones B.
-	refA, err := core.FromArtifact(artA, pa.Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refB, err := core.FromArtifact(artB, pb.Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perGen := map[uint64]int{}
-	flushGen := map[*float64]uint64{}
-	for i, a := range answers {
-		gen := a.res.Generation
-		perGen[gen]++
-		if a.routed != 0 && gen != a.routed {
-			t.Fatalf("answer %d: selected under generation %d, scored by %d", i, a.routed, gen)
-		}
-		out := a.res.Scores[:cap(a.res.Scores)]
-		if g, ok := flushGen[&out[len(out)-1]]; ok && g != gen {
-			t.Fatalf("answer %d: one flush answered generations %d and %d", i, g, gen)
-		}
-		flushGen[&out[len(out)-1]] = gen
-		ref := refA
-		if gen%2 == 0 {
-			ref = refB
-		}
-		x := mat.New(len(a.vecs), width)
-		for j, v := range a.vecs {
-			copy(x.Row(j), v)
-		}
-		preds, scores, threshold := ref.DetectBatch(x)
-		if math.Float64bits(a.res.Threshold) != math.Float64bits(threshold) {
-			t.Fatalf("answer %d (generation %d): threshold %v, want %v", i, gen, a.res.Threshold, threshold)
-		}
-		for j := range scores {
-			if math.Float64bits(a.res.Scores[j]) != math.Float64bits(scores[j]) || a.res.Preds[j] != preds[j] {
-				t.Fatalf("answer %d (generation %d) row %d: got (%v, %d), want (%v, %d)",
-					i, gen, j, a.res.Scores[j], a.res.Preds[j], scores[j], preds[j])
-			}
-		}
-	}
-	if perGen[1] == 0 || len(perGen) < 2 {
-		t.Fatalf("answers per generation %v: the test did not score across a swap", perGen)
-	}
-	if !tier.Converged() {
-		t.Fatalf("tier did not converge after the swaps: %v", tier.Generations())
-	}
-	t.Logf("%d answers in %d flushes, per generation %v; %v flushes closed by a swap",
-		len(answers), len(flushGen), perGen, flushTotal.With(flushSwap).Value()-swapFlushes)
 }
 
 // TestStopDrainsAndSheds checks shutdown semantics: Stop answers

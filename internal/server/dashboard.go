@@ -44,7 +44,6 @@ const dashboardHTML = `<!DOCTYPE html>
 <header>
   <h1>Prodigy model health</h1>
   <span class="stat">trained <b id="h-trained">–</b></span>
-  <span class="stat">generation <b id="h-gen">–</b></span>
   <span class="stat">threshold <b id="h-thr">–</b></span>
   <span class="stat">uptime <b id="h-up">–</b></span>
   <span class="stat" id="h-err"></span>
@@ -114,7 +113,6 @@ function getJSON(url) {
 function refresh() {
   getJSON("/api/health").then(function (h) {
     document.getElementById("h-trained").textContent = h.trained ? "yes" : "no";
-    document.getElementById("h-gen").textContent = h.swap_generation;
     document.getElementById("h-thr").textContent = fmt(h.threshold, 4);
     document.getElementById("h-up").textContent = Math.round(h.uptime_seconds) + "s";
     var body = document.querySelector("#c-table tbody");

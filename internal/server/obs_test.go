@@ -43,7 +43,7 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE http_request_duration_seconds histogram",
 		`http_request_duration_seconds_bucket{route="/api/jobs/{id}/anomalies",le="+Inf"}`,
 		"# TYPE prodigy_scores_total counter",
-		"# TYPE prodigy_model_swaps_total counter",
+		"# TYPE prodigy_model_features gauge",
 		"# TYPE online_ingest_lag_seconds histogram",
 		"# TYPE prodigy_score_error histogram",
 		"# TYPE prodigy_model_threshold gauge",
@@ -89,9 +89,6 @@ func TestHealthSnapshotMetadata(t *testing.T) {
 	}
 	if f := health["features"].(float64); f <= 0 {
 		t.Fatalf("features = %v, want > 0", f)
-	}
-	if g := health["swap_generation"].(float64); g < 1 {
-		t.Fatalf("swap_generation = %v, want >= 1 after Fit", g)
 	}
 	if up, ok := health["uptime_seconds"].(float64); !ok || up <= 0 {
 		t.Fatalf("uptime_seconds = %v", health["uptime_seconds"])

@@ -108,7 +108,7 @@ func TestScoreShedReturns429(t *testing.T) {
 	if !ok {
 		t.Fatalf("health carries no serve section: %v", health)
 	}
-	if sv["converged"] != true {
-		t.Fatalf("single-replica tier not converged: %v", sv)
+	if sv["replicas"] != float64(1) {
+		t.Fatalf("health reports %v replicas, want 1: %v", sv["replicas"], sv)
 	}
 }

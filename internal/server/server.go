@@ -157,31 +157,28 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, format strin
 }
 
 // handleHealth reports model snapshot metadata next to store liveness: the
-// decision threshold, feature count, swap generation and process uptime,
+// decision threshold, feature count and process uptime,
 // plus the p50/p95/p99 of the reconstruction-error distribution scored so
 // far — the same values the obs gauges export on /metrics.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	trained := s.Prodigy != nil && s.Prodigy.Trained()
-	var generation uint64
 	var featureCount int
 	if s.Prodigy != nil {
-		generation = s.Prodigy.Generation()
 		featureCount = len(s.Prodigy.FeatureNames())
 	}
 	p50, p95, p99 := pipeline.ScoreQuantiles()
 	resp := map[string]interface{}{
-		"status":          "ok",
-		"trained":         trained,
-		"jobs":            len(s.Store.Jobs()),
-		"rows":            s.Store.NumRows(),
-		"threshold":       s.thresholdOrZero(),
-		"features":        featureCount,
-		"swap_generation": generation,
-		"uptime_seconds":  obs.Uptime().Seconds(),
-		"score_p50":       p50,
-		"score_p95":       p95,
-		"score_p99":       p99,
-		"cost_ledger":     obs.LedgerSnapshot(),
+		"status":         "ok",
+		"trained":        trained,
+		"jobs":           len(s.Store.Jobs()),
+		"rows":           s.Store.NumRows(),
+		"threshold":      s.thresholdOrZero(),
+		"features":       featureCount,
+		"uptime_seconds": obs.Uptime().Seconds(),
+		"score_p50":      p50,
+		"score_p95":      p95,
+		"score_p99":      p99,
+		"cost_ledger":    obs.LedgerSnapshot(),
 	}
 	if trained {
 		resp["model_kind"] = s.Prodigy.ModelKind()
@@ -194,13 +191,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if s.Tier != nil {
-		// Serving-tier convergence surface: during a Swap roll the
-		// generations diverge and converged goes false until every replica
-		// serves the new artifact.
 		resp["serve"] = map[string]interface{}{
 			"replicas":       s.Tier.Replicas(),
-			"generations":    s.Tier.Generations(),
-			"converged":      s.Tier.Converged(),
 			"queued_rows":    s.Tier.QueuedRows(),
 			"queue_capacity": s.Tier.QueueCapacity(),
 		}
