@@ -2,7 +2,7 @@
 # `make bench-json` backs the per-commit BENCH_*.json artifacts and
 # `make bench-diff` gates a fresh emission against the committed ones.
 
-.PHONY: check build vet test race lint lint-json fmt-check fuzz perfbench-check bench bench-json bench-diff
+.PHONY: check build vet test race determinism lint lint-json fmt-check fuzz perfbench-check bench bench-json bench-diff
 
 build:
 	go build ./...
@@ -17,6 +17,13 @@ test:
 # inference through shared models must be stateless.
 race:
 	go test -race ./...
+
+# The determinism contract must hold whether shards run inline or truly
+# in parallel: the whole module runs single-threaded and multi-core. Each
+# test runs twice in one process, so this also keeps tests that read
+# process-global state re-runnable.
+determinism:
+	go test -cpu 1,4 -count=1 ./...
 
 # prodigy-lint turns the repo's prose contracts into machine-checked ones
 # (DESIGN.md §9, §14): stateless inference, bounded metric labels, seeded
@@ -51,7 +58,7 @@ fuzz:
 perfbench-check:
 	cd perfbench && go vet ./... && go test ./...
 
-check: build vet fmt-check lint race perfbench-check
+check: build vet fmt-check lint race determinism perfbench-check
 
 # Full benchmark sweep after re-baselining every snapshot (bench-json).
 # CI runs bench-diff instead; the sweep is the laptop workflow.

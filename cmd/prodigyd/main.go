@@ -77,9 +77,9 @@ func main() {
 	ensembleOn := flag.Bool("ensemble", false, "deploy the budgeted cascade ensemble (naive z-score pre-filter + vae/usad/lof fleet) instead of the solo VAE")
 	fusion := flag.String("fusion", "rank", "ensemble fleet-score fusion rule: rank, max or weighted")
 	budgetNs := flag.Float64("score-budget-ns", 0, "ensemble scoring budget in ns/row; the scheduler sheds expensive fleet members above it (0 = unlimited)")
-	replicas := flag.Int("replicas", 2, "detector replicas behind the coalescing serving tier")
+	replicas := flag.Int("replicas", 2, "shards of the coalescing serving tier, each an admission queue and a flusher over the one deployed model")
 	coalesceWindow := flag.Duration("coalesce-window", 2*time.Millisecond, "max time a scoring request waits to be micro-batched with concurrent requests")
-	maxQueue := flag.Int("max-queue", 16384, "admission-queue bound in rows per replica shard; requests beyond it are shed with 429")
+	maxQueue := flag.Int("max-queue", 16384, "admission-queue bound in rows per shard; requests beyond it are shed with 429")
 	flag.Parse()
 
 	lvl, err := obs.ParseLevel(*logLevel)
@@ -196,15 +196,15 @@ func main() {
 	}
 
 	// The serving tier fronts /api/score: concurrent requests coalesce into
-	// the pipeline's parallel batch path, job-affine endpoints hash across
-	// replicas, and overload sheds instead of queueing without bound.
+	// the pipeline's parallel batch path on shards that all score with p,
+	// and overload sheds instead of queueing without bound.
 	tierCfg := serve.DefaultConfig()
 	tierCfg.Replicas = *replicas
 	tierCfg.Window = *coalesceWindow
 	tierCfg.MaxQueue = *maxQueue
 	srv := server.NewWithTier(store, p, serve.NewTier(p, tierCfg))
 	defer srv.Close()
-	obs.Info("serving tier up", "replicas", srv.Tier.Replicas(),
+	obs.Info("serving tier up", "shards", srv.Tier.Replicas(),
 		"coalesce_window", *coalesceWindow, "max_queue_rows", *maxQueue)
 	if *ensembleOn {
 		// Feed the tier's queue-depth signal (and the ns/row budget) into
@@ -224,7 +224,7 @@ func main() {
 	}
 	healthy := ds.Subset(ds.HealthyIndices())
 	if healthy.Len() >= 2 {
-		if mon, err := drift.NewMonitor(p.Scores(healthy.X), 500, drift.DefaultConfig()); err == nil {
+		if mon, err := p.DriftMonitor(healthy.X, 500, drift.DefaultConfig()); err == nil {
 			srv.Drift = mon
 			obs.Info("drift monitor armed", "reference_scores", healthy.Len())
 		}

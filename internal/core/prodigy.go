@@ -107,8 +107,9 @@ type Prodigy struct {
 // only the (metric, extractor) cells the selection reads, and /api/score
 // decodes only the columns it reads, so the plan and the column map must
 // always describe the detector they are published with: a Fit replaces
-// all of them in one atomic store. A Snapshot is immutable; each shard of
-// the serving tier pins the one its replica had when the tier was built.
+// all of them in one atomic store. A Snapshot is immutable; the serving
+// tier pins the one deployed when it was built and scores every shard's
+// batches with it.
 type Snapshot struct {
 	det *pipeline.AnomalyDetector
 	// cat is the catalog the plan was compiled against.
@@ -204,6 +205,19 @@ func (p *Prodigy) ScoreShift() (stat, pValue float64, n uint64, ok bool) {
 	}
 	stat, pValue = drift.KSFromCounts(live.CountsSlice(), base)
 	return stat, pValue, live.Total, true
+}
+
+// DriftMonitor builds a model-staleness monitor (drift.NewMonitor) whose
+// reference is the deployed model's scores of the healthy full-width
+// rows. It scores them on a fresh detector over the deployed artifact:
+// the same scores, recorded in that detector's sketch, so the live
+// sketch ScoreShift tests holds served traffic only.
+func (p *Prodigy) DriftMonitor(healthy *mat.Matrix, window int, cfg drift.Config) (*drift.Monitor, error) {
+	det, err := p.Artifact().Detector()
+	if err != nil {
+		return nil, err
+	}
+	return drift.NewMonitor(det.Scores(healthy), window, cfg)
 }
 
 // deploy installs a detector with its extraction plan and publishes the
@@ -567,14 +581,8 @@ func Load(path string, cfg Config) (*Prodigy, error) {
 // loaded model.
 func (p *Prodigy) SetExplainPool(healthy *mat.Matrix) { p.healthyTrain.Store(healthy) }
 
-// ExplainPool returns the healthy training pool backing Explain, or nil if
-// none was set. Replica constructors share one pool across instances — it
-// is only ever read.
-func (p *Prodigy) ExplainPool() *mat.Matrix { return p.healthyTrain.Load() }
-
-// Artifact returns the deployed model artifact — the unit of snapshot
-// replication: a serving tier hands it to FromArtifact to stamp out
-// replicas.
+// Artifact returns the deployed model artifact: what Save persists and
+// FromArtifact builds a Prodigy from.
 func (p *Prodigy) Artifact() *pipeline.Artifact { return p.det().Artifact() }
 
 // FromArtifact builds a trained Prodigy directly from an in-memory

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prodigy/internal/core"
+	"prodigy/internal/drift"
 	"prodigy/internal/ensemble"
 	"prodigy/internal/mat"
 )
@@ -15,8 +16,9 @@ import (
 // TestScoreShiftBaselineLifecycle pins the baseline behind the
 // score-distribution-shift alert: training stores the healthy training
 // scores' sketch in the artifact, so the shift is evaluable as soon as
-// Fit or FitEnsemble returns. Traffic from the training campaign compares
-// clean; degenerate traffic, far outside the training range, is flagged.
+// Fit or FitEnsemble returns, and arming the drift monitor leaves the live
+// sketch empty. Traffic from the training campaign compares clean;
+// degenerate traffic, far outside the training range, is flagged.
 func TestScoreShiftBaselineLifecycle(t *testing.T) {
 	ds, _, _ := campaign(t, 53)
 	healthy := ds.HealthyIndices()
@@ -50,7 +52,14 @@ func TestScoreShiftBaselineLifecycle(t *testing.T) {
 			if total != uint64(len(healthy)) {
 				t.Fatalf("baseline holds %d scores, want one per healthy training row (%d)", total, len(healthy))
 			}
-			// No live traffic yet: evaluable, with no evidence of a shift.
+			// Arming the drift monitor scores the healthy training rows
+			// off the served detector. No live traffic yet: evaluable,
+			// with no evidence of a shift.
+			hx := ds.Subset(healthy).X
+			mon, err := p.DriftMonitor(hx, hx.Rows, drift.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			stat, pv, n, ok := p.ScoreShift()
 			if !ok || n != 0 || stat != 0 || pv != 1 {
 				t.Fatalf("fresh deployment: stat=%g p=%g n=%d ok=%v, want 0/1/0/true", stat, pv, n, ok)
@@ -73,6 +82,12 @@ func TestScoreShiftBaselineLifecycle(t *testing.T) {
 			stat, pv, _, ok = p.ScoreShift()
 			if !ok || pv > 0.01 || stat < 0.2 {
 				t.Fatalf("degenerate traffic not flagged: stat=%g p=%g ok=%v", stat, pv, ok)
+			}
+
+			// The monitor's reference is exactly the served scores.
+			mon.Observe(p.Scores(hx)...)
+			if rep := mon.Check(); rep.KS != 0 {
+				t.Fatalf("drift reference differs from the served scores: %v", rep)
 			}
 		})
 	}

@@ -343,7 +343,7 @@ func (e *Ensemble) passthrough() bool {
 // steps once per logical batch, before AnomalyDetector fans the batch out
 // in chunks, and the returned scorer fuses every chunk over the active
 // members snapshotted here — even while overlapping batches (tier
-// replicas, job analysis) shed or restore members.
+// shards, job analysis) shed or restore members.
 func (e *Ensemble) BeginBatch() pipeline.Scorer {
 	if !e.passthrough() {
 		e.sched.rebalance()

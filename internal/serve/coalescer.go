@@ -8,13 +8,12 @@ import (
 
 	"time"
 
-	"prodigy/internal/core"
 	"prodigy/internal/mat"
 )
 
 // request is one waiter's stake in a coalesced batch.
 type request struct {
-	// x holds the request's rows at the selected width of the shard's
+	// x holds the request's rows at the selected width of the tier's
 	// snapshot.
 	x *mat.Matrix
 	// deadline is the admission deadline: a request still unflushed past
@@ -31,16 +30,11 @@ type outcome struct {
 	err error
 }
 
-// shard is one replica plus its coalescer: an admission queue bounded in
-// rows, and a flusher goroutine that drains it into size- or
-// window-bounded batches.
+// shard is one coalescer over the tier's model: an admission queue
+// bounded in rows, and a flusher goroutine that drains it into size- or
+// window-bounded batches scored with the tier's snapshot.
 type shard struct {
-	tier    *Tier
-	replica *core.Prodigy
-	// snap is the replica's model snapshot, pinned at tier construction
-	// (nil for an untrained replica): every batch of the shard is
-	// selected under it and scored with it.
-	snap *core.Snapshot
+	tier *Tier
 	reqC chan *request
 	// queued counts rows admitted but not yet staged into a batch; it is
 	// the admission bound and backs the serve_queue_depth gauge.
@@ -59,7 +53,7 @@ type shard struct {
 
 // submit admits one request into the shard's next batch and blocks
 // until the batch flushes, the request is shed, or ctx ends. The rows
-// come either as x, already selected under the shard's snapshot, or as
+// come either as x, already selected under the tier's snapshot, or as
 // full-width vectors, which are selected only once admitted, so a
 // request shed for a full queue costs no copy. The row reservation
 // against MaxQueue happens before the channel send, and the channel's
@@ -78,10 +72,11 @@ func (s *shard) submit(ctx context.Context, x *mat.Matrix, vectors [][]float64) 
 	if rows > cfg.MaxBatch {
 		return nil, ErrBatchTooLarge
 	}
-	if s.snap == nil {
+	snap := s.tier.snap
+	if snap == nil {
 		return nil, ErrUntrained
 	}
-	_, k := s.snap.Columns()
+	_, k := snap.Columns()
 	if x != nil && x.Cols != k {
 		return nil, fmt.Errorf("serve: rows have %d selected features, model selects %d", x.Cols, k)
 	}
@@ -106,7 +101,7 @@ func (s *shard) submit(ctx context.Context, x *mat.Matrix, vectors [][]float64) 
 	if x == nil {
 		x = mat.New(rows, k)
 		for i, v := range vectors {
-			s.snap.SelectRow(x.Row(i), v)
+			snap.SelectRow(x.Row(i), v)
 		}
 	}
 	req := &request{x: x, deadline: deadline, enqueued: now, done: make(chan outcome, 1)}
@@ -157,7 +152,7 @@ func (s *shard) run() {
 // batchOnce collects one batch starting from first and flushes it. The
 // flush rules: the batch closes when the coalescing window elapses
 // (latency bound), the staged rows reach MaxBatch (size bound), or the
-// admission channel closes (drain). Every request of the shard was
+// admission channel closes (drain). Every request of the tier was
 // selected under its one snapshot, so a batch holds rows of one width
 // and one selection. Returns the request that arrived but did not join,
 // if any — it opens the next batch.
@@ -208,7 +203,7 @@ collect:
 
 // flush sheds the batch's expired requests, stages the live rows into a
 // buffer of exactly that many rows, scores them in one call of the
-// shard's snapshot, and demuxes per-request subslices of the output back
+// tier's snapshot, and demuxes per-request subslices of the output back
 // to the waiters. Deadline-aware shedding happens here, at the flush
 // boundary: a request that already waited past its deadline is answered
 // ErrOverloaded instead of being scored late, so overload shows up as
@@ -234,7 +229,8 @@ func (s *shard) flush(batch []*request, trigger string) {
 	if rows == 0 {
 		return
 	}
-	_, width := s.snap.Columns()
+	snap := s.tier.snap
+	_, width := snap.Columns()
 	ws := mat.GetWorkspace()
 	defer mat.Release(ws)
 	staged := ws.Get(rows, width)
@@ -243,7 +239,7 @@ func (s *shard) flush(batch []*request, trigger string) {
 	}
 	batchRows.Observe(float64(rows))
 	flushTotal.With(trigger).Inc()
-	preds, scores, threshold := s.snap.DetectSelected(staged)
+	preds, scores, threshold := snap.DetectSelected(staged)
 	for _, r := range batch[:live] {
 		waited := now.Sub(r.enqueued)
 		coalesceWait.Observe(waited.Seconds())

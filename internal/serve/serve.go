@@ -10,13 +10,14 @@
 //     per-request scoring — batching changes the schedule, not the
 //     arithmetic.
 //
-//   - A sharded replica tier stamps N core.Prodigy replicas out of one
-//     trained artifact and consistent-hashes work across them, so
-//     CPU-bound scoring scales across cores without sharing a model
-//     snapshot pointer between flushers. Each shard pins its replica's
-//     model snapshot when the tier is built: a tier serves the snapshots
-//     it was built with, and a retrained model is deployed by building a
-//     new tier.
+//   - Shards over one model: the tier runs N shards, each an admission
+//     queue and a flusher, and deals requests round-robin across them, so
+//     small batches score on several cores at once. Every shard scores
+//     with the one deployed model through the snapshot the tier pinned
+//     when it was built — one set of weights, one scaler and one live
+//     score sketch, so the score-shift alert sees every scored row. A
+//     tier serves the snapshot it was built with; a retrained model is
+//     deployed by building a new tier.
 //
 //   - Graceful degradation: each shard has a bounded admission queue
 //     measured in rows; requests beyond it are shed immediately
@@ -74,8 +75,8 @@ const (
 	flushDrain  = "drain"
 )
 
-// maxReplicas bounds the replica count regardless of configuration.
-const maxReplicas = 64
+// maxShards bounds the shard count regardless of configuration.
+const maxShards = 64
 
 // Errors the tier answers requests with. Both shed variants map to HTTP
 // 429 + Retry-After at the API layer.
@@ -95,8 +96,10 @@ var (
 // Config tunes the serving tier. Zero values fall back to the defaults
 // noted per field (DefaultConfig spells them out).
 type Config struct {
-	// Replicas is the number of detector replicas (shards); clamped to
-	// [1, 64]. Default 1.
+	// Replicas is the number of shards — admission queues with their own
+	// flusher — over the one deployed model; clamped to [1, 64]. Default 1.
+	// The name predates the shards sharing one model; perfbench and
+	// prodigyd's -replicas flag set it.
 	Replicas int
 	// Window is the coalescing latency bound: the longest a request waits
 	// for co-batched company before its batch flushes. Default 2ms.
@@ -116,7 +119,7 @@ type Config struct {
 	Clock Clock
 }
 
-// DefaultConfig returns the serving defaults: one replica, a 2ms window,
+// DefaultConfig returns the serving defaults: one shard, a 2ms window,
 // 4096-row batches, a 16384-row admission queue and a 100ms deadline.
 func DefaultConfig() Config {
 	return Config{Replicas: 1, Window: 2 * time.Millisecond, MaxBatch: 4096, Deadline: 100 * time.Millisecond}
@@ -128,8 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = d.Replicas
 	}
-	if c.Replicas > maxReplicas {
-		c.Replicas = maxReplicas
+	if c.Replicas > maxShards {
+		c.Replicas = maxShards
 	}
 	if c.Window <= 0 {
 		c.Window = d.Window
@@ -166,52 +169,35 @@ type Result struct {
 	Waited time.Duration
 }
 
-// Tier is the coalescing, sharded serving tier over N detector replicas.
-// All methods are safe for concurrent use.
+// Tier is the coalescing serving tier: Replicas shards, each an
+// admission queue and a flusher, over one deployed model. All methods are
+// safe for concurrent use.
 type Tier struct {
-	cfg    Config
+	cfg Config
+	// p is the deployed model the tier serves.
+	p *core.Prodigy
+	// snap is p's model snapshot when the tier was built (nil if p was
+	// untrained then): every batch of every shard is selected under it
+	// and scored with it.
+	snap   *core.Snapshot
 	shards []*shard
-	// rr distributes keyless requests round-robin across shards.
+	// rr distributes requests round-robin across shards.
 	rr       atomic.Uint64
 	wg       sync.WaitGroup
 	stopOnce sync.Once
 }
 
 // NewTier builds the tier over p and starts one flusher goroutine per
-// replica. Replica 0 is p itself; the rest are stamped from p's deployed
-// artifact (snapshot replication) and share its CoMTE distractor pool.
-// Each shard pins its replica's model snapshot here and scores with it
-// for the tier's lifetime, whatever p deploys later. If p is untrained,
-// or a replica fails to build, the tier degrades to the replicas it has —
-// scoring through an untrained tier sheds with ErrUntrained. Stop the
-// tier to release its goroutines.
+// shard. It pins p's model snapshot here, and every shard scores with it
+// for the tier's lifetime, whatever p deploys later: a tier serves the
+// snapshot it was built with. Scoring through a tier built over an
+// untrained p sheds with ErrUntrained. Stop the tier to release its
+// goroutines.
 func NewTier(p *core.Prodigy, cfg Config) *Tier {
 	cfg = cfg.withDefaults()
-	t := &Tier{cfg: cfg}
-	replicas := []*core.Prodigy{p}
-	if p.Trained() {
-		artifact := p.Artifact()
-		pool := p.ExplainPool()
-		for i := 1; i < cfg.Replicas; i++ {
-			rep, err := core.FromArtifact(artifact, p.Cfg)
-			if err != nil {
-				obs.Warn("serve: replica build failed, serving with fewer",
-					"want", cfg.Replicas, "have", len(replicas), "err", err)
-				break
-			}
-			if pool != nil {
-				rep.SetExplainPool(pool)
-			}
-			replicas = append(replicas, rep)
-		}
-	}
-	for _, rep := range replicas {
-		sh := &shard{
-			tier:    t,
-			replica: rep,
-			snap:    rep.Snapshot(),
-			reqC:    make(chan *request, cfg.MaxQueue),
-		}
+	t := &Tier{cfg: cfg, p: p, snap: p.Snapshot()}
+	for i := 0; i < cfg.Replicas; i++ {
+		sh := &shard{tier: t, reqC: make(chan *request, cfg.MaxQueue)}
 		t.shards = append(t.shards, sh)
 		t.wg.Add(1)
 		go func(sh *shard) {
@@ -222,13 +208,8 @@ func NewTier(p *core.Prodigy, cfg Config) *Tier {
 	return t
 }
 
-// Replicas returns how many detector replicas the tier serves with.
+// Replicas returns how many shards the tier serves with.
 func (t *Tier) Replicas() int { return len(t.shards) }
-
-// shardFor consistent-hashes a key to a shard.
-func (t *Tier) shardFor(key uint64) *shard {
-	return t.shards[jumpHash(key, len(t.shards))]
-}
 
 // Route is one request's routing decision: the shard it queues on. A
 // caller decodes or selects the request's rows under Snapshot's column
@@ -243,14 +224,14 @@ func (t *Tier) Route() Route {
 	return Route{sh: t.shards[int(t.rr.Add(1))%len(t.shards)]}
 }
 
-// Snapshot is the model snapshot the route's shard scores with — the
-// one the rows must be selected under — or nil when the replica was
-// untrained at tier construction (or for the zero Route).
+// Snapshot is the model snapshot the tier scores with — the one the rows
+// must be selected under — or nil when the model was untrained at tier
+// construction (or for the zero Route).
 func (r Route) Snapshot() *core.Snapshot {
 	if r.sh == nil {
 		return nil
 	}
-	return r.sh.snap
+	return r.sh.tier.snap
 }
 
 // Submit coalesces x — rows holding the selected columns of the route's
@@ -262,29 +243,26 @@ func (r Route) Submit(ctx context.Context, x *mat.Matrix) (*Result, error) {
 	return r.sh.submit(ctx, x, nil)
 }
 
-// ScoreBatch scores full-width vectors through a round-robin shard: it
-// routes, checks each vector's width against the route's snapshot, and
-// submits them to be selected into the model's columns once admitted.
+// ScoreBatch scores full-width vectors: it checks each vector's width
+// against the tier's snapshot, then submits them through a round-robin
+// shard to be selected into the model's columns once admitted.
 func (t *Tier) ScoreBatch(ctx context.Context, vectors [][]float64) (*Result, error) {
-	sh := t.Route().sh
-	if sh.snap == nil {
+	if t.snap == nil {
 		return nil, ErrUntrained
 	}
-	width := sh.snap.Width()
+	width := t.snap.Width()
 	for i, v := range vectors {
 		if len(v) != width {
 			return nil, fmt.Errorf("serve: vector %d has %d features, model expects %d", i, len(v), width)
 		}
 	}
-	return sh.submit(ctx, nil, vectors)
+	return t.Route().sh.submit(ctx, nil, vectors)
 }
 
-// ReplicaForJob returns the replica that job-affine analyses (dashboard,
-// explanation, diagnosis) of the job should run against — the consistent
-// hash of KeyForJob, so one job's reads land on one replica.
-func (t *Tier) ReplicaForJob(jobID int64) *core.Prodigy {
-	return t.shardFor(KeyForJob(jobID)).replica
-}
+// ReplicaForJob returns the model job analyses (dashboard, explanation,
+// diagnosis) run on: the tier's one deployed model, whatever the job.
+// perfbench's analysis replay reads the model through it.
+func (t *Tier) ReplicaForJob(int64) *core.Prodigy { return t.p }
 
 // QueuedRows returns the rows currently admitted and waiting across all
 // shards.
@@ -303,29 +281,24 @@ func (t *Tier) QueuedRows() int {
 func (t *Tier) QueueCapacity() int { return t.cfg.MaxQueue * len(t.shards) }
 
 // ConfigureEnsemble wires the tier's queue-depth signal and the given
-// ns/row budget into every deployed cascade ensemble it serves: the
-// budget scheduler then sheds fleet members when measured cost blows
-// the budget or the admission queue backs past its high-water mark.
-// Replicas stamped from one artifact share one live ensemble, so each
-// distinct ensemble is configured once. No-op for non-ensemble models;
-// returns how many ensembles were configured.
+// ns/row budget into the cascade ensemble the tier serves, if it serves
+// one: the budget scheduler then sheds fleet members when measured cost
+// blows the budget or the admission queue backs past its high-water
+// mark. Returns how many ensembles were configured: 1, or 0 for an
+// untrained tier or a non-ensemble model.
 func (t *Tier) ConfigureEnsemble(budgetNs float64) int {
-	seen := make(map[*ensemble.Ensemble]bool)
-	for _, sh := range t.shards {
-		if !sh.replica.Trained() {
-			continue
-		}
-		ens, ok := ensemble.Of(sh.replica.Artifact())
-		if !ok || seen[ens] {
-			continue
-		}
-		seen[ens] = true
-		ens.SetBudgetNs(budgetNs)
-		ens.SetLoadProbe(func() (queued, capacity int) {
-			return t.QueuedRows(), t.QueueCapacity()
-		})
+	if t.snap == nil {
+		return 0
 	}
-	return len(seen)
+	ens, ok := ensemble.Of(t.p.Artifact())
+	if !ok {
+		return 0
+	}
+	ens.SetBudgetNs(budgetNs)
+	ens.SetLoadProbe(func() (queued, capacity int) {
+		return t.QueuedRows(), t.QueueCapacity()
+	})
+	return 1
 }
 
 // Stop drains the tier: new submissions are shed with ErrStopped, queued

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"prodigy/internal/core"
+	"prodigy/internal/ensemble"
 	"prodigy/internal/mat"
 	"prodigy/internal/pipeline"
 	"prodigy/internal/vae"
@@ -26,6 +27,17 @@ func testProdigy(t testing.TB) *core.Prodigy { return trainProdigy(t, 24) }
 // grows with it.
 func trainProdigy(t testing.TB, features int) *core.Prodigy {
 	t.Helper()
+	ds, cfg := testCampaign(features)
+	p := core.New(cfg)
+	if err := p.Fit(ds, ds); err != nil {
+		t.Fatalf("fit: %v", err)
+	}
+	return p
+}
+
+// testCampaign builds testProdigy's data, 96 samples with every sixth
+// one anomalous, and its configuration.
+func testCampaign(features int) (*pipeline.Dataset, core.Config) {
 	const samples = 96
 	rng := rand.New(rand.NewSource(7))
 	names := make([]string, features)
@@ -53,11 +65,7 @@ func trainProdigy(t testing.TB, features int) *core.Prodigy {
 	cfg.VAE = vae.Config{HiddenDims: []int{16}, LatentDim: 4, Activation: "tanh",
 		LearningRate: 1e-3, BatchSize: 32, Epochs: 4, Seed: 11}
 	cfg.Trainer = pipeline.TrainerConfig{TopK: 12, ThresholdPercentile: 95, ScalerKind: "minmax"}
-	p := core.New(cfg)
-	if err := p.Fit(ds, ds); err != nil {
-		t.Fatalf("fit: %v", err)
-	}
-	return p
+	return ds, cfg
 }
 
 // randVectors builds n random full-feature-space vectors.
@@ -79,11 +87,12 @@ func randVectorsSeeded(seed int64, n, width int) [][]float64 {
 }
 
 // TestCoalescedBitIdentical proves the tentpole determinism claim: scores
-// obtained through concurrent coalesced submission over two replicas are
+// obtained through concurrent coalesced submission over two shards are
 // bit-identical to per-request direct scoring of the same vectors. Half
 // the requests take the handler's pruned path — Route, select the
 // model's 12 of 24 columns under the route's snapshot, Submit — and half
-// go through ScoreBatch with full-width vectors.
+// go through ScoreBatch with full-width vectors. Every route hands out
+// the deployed snapshot itself, and every row lands in its score sketch.
 func TestCoalescedBitIdentical(t *testing.T) {
 	p := testProdigy(t)
 	width := len(p.FeatureNames())
@@ -94,8 +103,9 @@ func TestCoalescedBitIdentical(t *testing.T) {
 	tier := NewTier(p, Config{Replicas: 2, Window: 5 * time.Millisecond, Deadline: time.Minute})
 	defer tier.Stop()
 	if tier.Replicas() != 2 {
-		t.Fatalf("got %d replicas, want 2", tier.Replicas())
+		t.Fatalf("got %d shards, want 2", tier.Replicas())
 	}
+	deployed := p.Snapshot()
 
 	results := make([]*Result, len(vecs))
 	errs := make([]error, len(vecs))
@@ -110,6 +120,10 @@ func TestCoalescedBitIdentical(t *testing.T) {
 			}
 			rt := tier.Route()
 			snap := rt.Snapshot()
+			if snap != deployed {
+				errs[i] = errors.New("route snapshot is not the deployed one")
+				return
+			}
 			_, k := snap.Columns()
 			x := mat.New(1, k)
 			snap.SelectRow(x.Row(0), vecs[i])
@@ -117,6 +131,11 @@ func TestCoalescedBitIdentical(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	// One model behind both shards: its live score sketch, which the
+	// score-shift alert reads, counts every scored row.
+	if _, _, n, ok := p.ScoreShift(); !ok || n != uint64(len(vecs)) {
+		t.Fatalf("ScoreShift counts n = %d (ok=%v) after %d scored rows", n, ok, len(vecs))
+	}
 
 	coalesced := 0
 	for i, res := range results {
@@ -317,44 +336,43 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestJumpHashProperties pins the consistent-hash contract: full coverage,
-// rough balance, and minimal movement when a replica is added.
-func TestJumpHashProperties(t *testing.T) {
-	const keys = 10000
-	counts := make([]int, 5)
-	moved := 0
-	for k := 0; k < keys; k++ {
-		h5 := jumpHash(KeyForJob(int64(k)), 5)
-		h6 := jumpHash(KeyForJob(int64(k)), 6)
-		counts[h5]++
-		if h5 != h6 {
-			if h6 != 5 {
-				t.Fatalf("key %d moved %d→%d; jump hash may only move keys to the new bucket", k, h5, h6)
-			}
-			moved++
-		}
+// TestConfigureEnsemble pins the budget wiring of a cascade served
+// behind two shards: it is configured once, and its load probe weighs
+// the rows queued on both shards against their summed capacity. A solo
+// VAE and an untrained tier configure nothing.
+func TestConfigureEnsemble(t *testing.T) {
+	ds, cfg := testCampaign(24)
+	p := core.New(cfg)
+	eCfg := ensemble.Config{Prefilter: "naive", PassFrac: 0.3, Fusion: ensemble.FusionRank,
+		Members: []string{"vae", "lof"}, Seed: 7}
+	if err := p.FitEnsemble(ds, ds, eCfg, nil); err != nil {
+		t.Fatal(err)
 	}
-	for b, c := range counts {
-		if c < keys/10 {
-			t.Errorf("bucket %d underloaded: %d/%d", b, c, keys)
-		}
-	}
-	// Growing 5→6 should move about 1/6 of keys.
-	if moved < keys/12 || moved > keys/3 {
-		t.Errorf("adding a replica moved %d/%d keys, want ≈1/6", moved, keys)
-	}
-}
-
-// TestReplicaForJobStable pins job affinity: the same job always lands on
-// the same replica.
-func TestReplicaForJobStable(t *testing.T) {
-	p := testProdigy(t)
-	tier := NewTier(p, Config{Replicas: 4})
+	tier := NewTier(p, Config{Replicas: 2, MaxQueue: 100})
 	defer tier.Stop()
-	for job := int64(0); job < 50; job++ {
-		a, b := tier.ReplicaForJob(job), tier.ReplicaForJob(job)
-		if a != b {
-			t.Fatalf("job %d routed to two replicas", job)
+	if n := tier.ConfigureEnsemble(0); n != 1 || tier.QueueCapacity() != 200 {
+		t.Fatalf("configured %d ensembles over capacity %d, want 1 over 200", n, tier.QueueCapacity())
+	}
+	// Each scored batch steps the scheduler, which reads the probe: 80
+	// of 200 queued rows is below its high-water mark, 120 is above it
+	// and sheds one member. Against one shard's capacity both would shed.
+	ens, _ := ensemble.Of(p.Artifact())
+	for _, c := range []struct{ q1, active int }{{40, 2}, {80, 1}} {
+		tier.shards[0].queued.Store(40)
+		tier.shards[1].queued.Store(int64(c.q1))
+		p.Scores(ds.X)
+		if got := len(ens.ActiveMembers()); got != c.active {
+			t.Fatalf("%d rows queued: %d active members, want %d", 40+c.q1, got, c.active)
 		}
+	}
+	tier.shards[0].queued.Store(0)
+	tier.shards[1].queued.Store(0)
+
+	for _, other := range []*core.Prodigy{testProdigy(t), core.New(core.DefaultConfig())} {
+		tr := NewTier(other, Config{Replicas: 2})
+		if n := tr.ConfigureEnsemble(0); n != 0 {
+			t.Errorf("non-ensemble tier configured %d ensembles, want 0", n)
+		}
+		tr.Stop()
 	}
 }

@@ -398,10 +398,10 @@ func skipDigits(b []byte, i int) int {
 // as wide as the deployed model's feature count, whitespace where JSON
 // allows it, nothing after the object (no null, no other or repeated
 // field; see decodeScoreRequest). Anything else is a 400. The handler
-// routes first, then decodes only the columns the routed replica's model
+// routes first, then decodes only the columns the tier's model snapshot
 // reads, straight into rows of the selected width; the coalescing
 // serving tier micro-batches them with their concurrent company into one
-// pipeline batch scored by that same model snapshot (results are
+// pipeline batch scored by that same snapshot (results are
 // bit-identical to solo scoring), and overload answers 429 with
 // Retry-After instead of queueing without bound.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {

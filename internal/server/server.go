@@ -57,10 +57,11 @@ type Server struct {
 	// Alerts, when set, serves /api/alerts — the rule engine's current
 	// firing/pending/resolved states.
 	Alerts *alert.Engine
-	// Tier is the coalescing serving tier every scoring request routes
-	// through (see internal/serve): /api/score submissions are
-	// micro-batched into it, and the job-affine analyses pick their
-	// replica from it. New constructs one automatically; Close stops it.
+	// Tier is the coalescing serving tier every /api/score request routes
+	// through (see internal/serve): submissions are micro-batched into
+	// its shards, all of which score with Prodigy's deployed model. Job
+	// analyses run on Prodigy directly. New constructs one automatically;
+	// Close stops it.
 	Tier *serve.Tier
 
 	mu      sync.Mutex // guards Drift observations
@@ -81,7 +82,7 @@ func New(store *dsos.Store, p *core.Prodigy) *Server {
 	return NewWithTier(store, p, tier)
 }
 
-// NewWithTier is New with a caller-configured serving tier (replica
+// NewWithTier is New with a caller-configured serving tier over p (shard
 // count, coalescing window, queue bound — see serve.Config). The server
 // takes ownership: Close stops it.
 func NewWithTier(store *dsos.Store, p *core.Prodigy, tier *serve.Tier) *Server {
@@ -117,16 +118,6 @@ func (s *Server) Close() {
 	if s.Tier != nil {
 		s.Tier.Stop()
 	}
-}
-
-// prodigyFor returns the detector replica job-affine analyses should use:
-// the tier's consistent-hash pick when a tier is mounted, the bare
-// Prodigy otherwise.
-func (s *Server) prodigyFor(jobID int64) *core.Prodigy {
-	if s.Tier != nil {
-		return s.Tier.ReplicaForJob(jobID)
-	}
-	return s.Prodigy
 }
 
 // writeJSON writes v with a 200 status.
@@ -255,7 +246,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request, jobID i
 		writeError(w, r, http.StatusServiceUnavailable, "no trained model deployed")
 		return
 	}
-	report, err := s.prodigyFor(jobID).AnalyzeJob(s.Store, jobID)
+	report, err := s.Prodigy.AnalyzeJob(s.Store, jobID)
 	if err != nil {
 		writeError(w, r, http.StatusNotFound, "%v", err)
 		return
@@ -289,13 +280,12 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request, jobID in
 		writeError(w, r, http.StatusBadRequest, "component query parameter required")
 		return
 	}
-	p := s.prodigyFor(jobID)
-	vec, err := p.JobNodeVector(s.Store, jobID, comp)
+	vec, err := s.Prodigy.JobNodeVector(s.Store, jobID, comp)
 	if err != nil {
 		writeError(w, r, http.StatusNotFound, "%v", err)
 		return
 	}
-	anomalous, score := p.DetectVector(vec)
+	anomalous, score := s.Prodigy.DetectVector(vec)
 	if !anomalous {
 		writeError(w, r, http.StatusUnprocessableEntity,
 			"component %d is predicted healthy (score %.5f); nothing to diagnose", comp, score)
@@ -353,7 +343,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, jobID int
 		writeError(w, r, http.StatusBadRequest, "component query parameter required")
 		return
 	}
-	expl, err := s.prodigyFor(jobID).ExplainJobNode(s.Store, jobID, comp)
+	expl, err := s.Prodigy.ExplainJobNode(s.Store, jobID, comp)
 	if expl == nil {
 		if err == nil {
 			writeError(w, r, http.StatusUnprocessableEntity,
