@@ -50,6 +50,7 @@ func DefaultStatelessRoots() []RootSpec {
 		{"USAD", "Scores"},
 		{"Store", "QuerySampler"},
 		{"Store", "QueryJobInto"},
+		{"Store", "QueryJobPrunedInto"},
 	}
 }
 

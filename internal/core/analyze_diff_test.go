@@ -3,8 +3,10 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,91 +22,231 @@ import (
 	"prodigy/internal/timeseries"
 )
 
-// Differential tests for selection-pruned job analysis: AnalyzeJob runs
-// only the (metric, extractor) cells the deployed selection reads, and
-// must agree bit for bit with a straight-line reference that extracts
-// every metric in full and scores the whole vector.
+// Differential tests for job analysis. AnalyzeJob gathers only the
+// metrics the deployed selection reads, interpolates only the columns the
+// gather found gaps in, and runs only the (metric, extractor) cells the
+// selection reads; it must agree bit for bit with a straight-line
+// reference that queries every sampler, aligns them with the hash-map
+// Align, preprocesses every column, extracts every metric in full and
+// scores the whole vector.
 
 // procsSweep is the GOMAXPROCS sweep every differential case runs under,
 // so the agreement holds whatever core count the suite is invoked with.
 var procsSweep = []int{1, 2, 8}
 
-// degrader is an ldms.Sink that wrecks a fixed share of every sampler's
-// metrics before storing a row: every third metric is constant, every
-// third is never reported (an all-missing column), and every third drops
-// a sample every few seconds.
-type degrader struct{ dst ldms.Sink }
+// capture is an ldms.Sink that keeps a job's rows so a case can reshape
+// them before they reach the store. ldms.Aggregate feeds a sink from one
+// goroutine.
+type capture struct{ rows []ldms.Row }
 
-func (d degrader) Ingest(r ldms.Row) {
-	names := make([]string, 0, len(r.Values))
-	for k := range r.Values {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	vals := make(map[string]float64, len(r.Values))
-	for i, k := range names {
-		v := r.Values[k]
-		switch i % 3 {
-		case 0:
-			v = 4096
-		case 1:
-			v = math.NaN()
-		case 2:
-			if r.Timestamp%4 == 0 {
-				v = math.NaN()
-			}
-		}
-		vals[k] = v
-	}
-	r.Values = vals
-	d.dst.Ingest(r)
+func (c *capture) Ingest(r ldms.Row) { c.rows = append(c.rows, r) }
+
+// seriesKey names one (component, sampler) series of a job.
+type seriesKey struct {
+	comp    int
+	sampler ldms.SamplerName
 }
 
-// diffCampaign is a small Eclipse campaign (healthy lammps/sw4lite jobs,
-// a memleak and a cpuoccupy job) plus one degraded healthy job that is
-// stored but not trained on. It returns the dataset, the store, and every
-// job ID, the degraded one last.
-func diffCampaign(t *testing.T, seed int64) (*pipeline.Dataset, *dsos.Store, []int64) {
-	t.Helper()
-	sys := cluster.NewSystem("diff-eclipse", 8, cluster.EclipseNode())
-	store := dsos.NewStore()
-	builder := pipeline.NewDatasetBuilder(store)
-	builder.Gen.TrimSeconds = 20
-	builder.Pipe.Catalog = features.Minimal()
-	var jobs []int64
-	submit := func(app string, inj hpas.Injector, sink ldms.Sink, train bool) {
-		job, err := sys.Submit(app, 4, 140, seed)
-		if err != nil {
-			t.Fatal(err)
+// sorted returns the captured rows ordered by (component, sampler,
+// timestamp), which fixes the order the aggregator's fan-in interleaved.
+func (c *capture) sorted() []ldms.Row {
+	rows := append([]ldms.Row(nil), c.rows...)
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.Component != b.Component {
+			return a.Component < b.Component
 		}
-		truth := map[int][2]string{}
-		if inj != nil {
-			for _, n := range job.Nodes[:2] {
-				job.Injectors[n] = inj
-				truth[n] = [2]string{inj.Name(), inj.Config()}
+		if a.Sampler != b.Sampler {
+			return a.Sampler < b.Sampler
+		}
+		return a.Timestamp < b.Timestamp
+	})
+	return rows
+}
+
+// withIdleSampler adds to every node a dcgm series of two constant
+// metrics that reports four seconds of every five. A chi-square selection
+// never prefers a constant, so the plan reads none of its metrics, yet its
+// missing seconds still bound the node's common time axis.
+func withIdleSampler(rows []ldms.Row) []ldms.Row {
+	out := make([]ldms.Row, 0, len(rows)+len(rows)/3)
+	for _, r := range rows {
+		out = append(out, r)
+		if r.Sampler == ldms.Meminfo && r.Timestamp%5 != 0 {
+			out = append(out, ldms.Row{JobID: r.JobID, Component: r.Component, Timestamp: r.Timestamp,
+				Sampler: ldms.Dcgm, Values: map[string]float64{"idle_a": 1, "idle_b": 2}})
+		}
+	}
+	return out
+}
+
+// Wreck kinds degrade applies, by a metric's position in its row's sorted
+// names.
+var wreckKinds = []string{"constant", "all-missing", "gappy", "late", "boundary"}
+
+// degrade wrecks every metric of a job. Constant; never reported (all
+// missing); a dropped sample every fourth second; first reported 50 s
+// into its series (the store backfills missing markers); or missing only
+// in the series' first 10 s, inside the 20 s trimmed boundary. kinds, if
+// not nil, records each qualified metric's wreck.
+func degrade(rows []ldms.Row, kinds map[string]string) []ldms.Row {
+	start := map[seriesKey]int64{}
+	out := make([]ldms.Row, 0, len(rows))
+	for _, r := range rows {
+		key := seriesKey{r.Component, r.Sampler}
+		if _, ok := start[key]; !ok {
+			start[key] = r.Timestamp
+		}
+		since := r.Timestamp - start[key]
+		names := make([]string, 0, len(r.Values))
+		for k := range r.Values {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		vals := make(map[string]float64, len(r.Values))
+		for i, k := range names {
+			v := r.Values[k]
+			kind := wreckKinds[i%len(wreckKinds)]
+			if kinds != nil {
+				kinds[k+"::"+string(r.Sampler)] = kind
+			}
+			switch kind {
+			case "constant":
+				v = 4096
+			case "all-missing":
+				v = math.NaN()
+			case "gappy":
+				if r.Timestamp%4 == 0 {
+					v = math.NaN()
+				}
+			case "late":
+				if since < 50 {
+					continue
+				}
+			case "boundary":
+				if since < 10 {
+					v = math.NaN()
+				}
+			}
+			vals[k] = v
+		}
+		r.Values = vals
+		out = append(out, r)
+	}
+	return out
+}
+
+// shuffle puts a job's rows in a seeded random order and repeats one row
+// in ten with its values halved, so every series arrives unsorted and
+// with duplicate timestamps, of which the later arrival must win.
+func shuffle(rows []ldms.Row) []ldms.Row {
+	rng := rand.New(rand.NewSource(int64(len(rows))))
+	out := make([]ldms.Row, 0, len(rows)+len(rows)/10)
+	for _, i := range rng.Perm(len(rows)) {
+		out = append(out, rows[i])
+		if rng.Intn(10) == 0 {
+			dup := rows[i]
+			dup.Values = make(map[string]float64, len(rows[i].Values))
+			for k, v := range rows[i].Values {
+				dup.Values[k] = v / 2
+			}
+			out = append(out, dup)
+		}
+	}
+	return out
+}
+
+// rename reports metric old of sampler under the name new on the job's
+// first node (rows in series order lead with it).
+func rename(sampler ldms.SamplerName, old, new string) func([]ldms.Row) []ldms.Row {
+	return func(rows []ldms.Row) []ldms.Row {
+		for i, r := range rows {
+			if v, ok := r.Values[old]; ok && r.Component == rows[0].Component && r.Sampler == sampler {
+				vals := make(map[string]float64, len(r.Values))
+				for k, x := range r.Values {
+					vals[k] = x
+				}
+				delete(vals, old)
+				vals[new] = v
+				rows[i].Values = vals
 			}
 		}
-		sys.CollectJob(job, ldms.CollectConfig{DropProb: 0.01, Seed: seed + job.ID}, sink)
-		if train {
-			builder.AddJob(job.ID, app, truth)
+		return rows
+	}
+}
+
+// diffSet is a small Eclipse campaign whose nodes all carry the idle
+// sampler: healthy lammps/sw4lite jobs, a memleak and a cpuoccupy job,
+// plus a wrecked and a shuffled healthy job that are stored but not
+// trained on.
+type diffSet struct {
+	t     *testing.T
+	seed  int64
+	sys   *cluster.System
+	store *dsos.Store
+	ds    *pipeline.Dataset
+	// jobs lists every stored job, the wrecked and shuffled ones last.
+	jobs []int64
+	// kinds maps each qualified metric to its wreck in the wrecked job.
+	kinds map[string]string
+}
+
+// submit runs one 4-node job, reshapes its rows and stores them. The
+// reshape runs after withIdleSampler, on rows in series order.
+func (c *diffSet) submit(app string, inj hpas.Injector, reshape func([]ldms.Row) []ldms.Row) (int64, map[int][2]string) {
+	c.t.Helper()
+	job, err := c.sys.Submit(app, 4, 140, c.seed)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	truth := map[int][2]string{}
+	if inj != nil {
+		for _, n := range job.Nodes[:2] {
+			job.Injectors[n] = inj
+			truth[n] = [2]string{inj.Name(), inj.Config()}
 		}
-		if err := sys.Complete(job.ID); err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, job.ID)
+	}
+	var rows capture
+	c.sys.CollectJob(job, ldms.CollectConfig{DropProb: 0.01, Seed: c.seed + job.ID}, &rows)
+	stored := withIdleSampler(rows.sorted())
+	if reshape != nil {
+		stored = reshape(stored)
+	}
+	for _, r := range stored {
+		c.store.Ingest(r)
+	}
+	if err := c.sys.Complete(job.ID); err != nil {
+		c.t.Fatal(err)
+	}
+	c.jobs = append(c.jobs, job.ID)
+	return job.ID, truth
+}
+
+func diffCampaign(t *testing.T, seed int64) *diffSet {
+	t.Helper()
+	c := &diffSet{t: t, seed: seed, sys: cluster.NewSystem("diff-eclipse", 8, cluster.EclipseNode()),
+		store: dsos.NewStore(), kinds: map[string]string{}}
+	builder := pipeline.NewDatasetBuilder(c.store)
+	builder.Gen.TrimSeconds = 20
+	builder.Pipe.Catalog = features.Minimal()
+	train := func(app string, inj hpas.Injector) {
+		job, truth := c.submit(app, inj, nil)
+		builder.AddJob(job, app, truth)
 	}
 	for i := 0; i < 3; i++ {
-		submit("lammps", nil, store, true)
-		submit("sw4lite", nil, store, true)
+		train("lammps", nil)
+		train("sw4lite", nil)
 	}
-	submit("lammps", hpas.Memleak{SizeMB: 10, Period: 0.05}, store, true)
-	submit("sw4lite", hpas.CPUOccupy{Utilization: 1}, store, true)
-	submit("lammps", nil, degrader{store}, false)
+	train("lammps", hpas.Memleak{SizeMB: 10, Period: 0.05})
+	train("sw4lite", hpas.CPUOccupy{Utilization: 1})
+	c.submit("lammps", nil, func(rows []ldms.Row) []ldms.Row { return degrade(rows, c.kinds) })
+	c.submit("sw4lite", nil, shuffle)
 	ds, err := builder.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds, store, jobs
+	c.ds = ds
+	return c
 }
 
 // diffConfig is quickConfig with a shorter fit: the tests compare two
@@ -130,22 +272,47 @@ func referenceNode(p *core.Prodigy, comp int, tb *timeseries.Table) core.NodePre
 	return core.NodePrediction{Component: comp, Anomalous: preds[0] == 1, Score: scores[0], Threshold: threshold}
 }
 
+// referenceTable is the §4.2.1 preprocessing of one node in straight-line
+// form, sharing no code with the pruned query path: copy each sampler out
+// of the store, align the copies on their common timestamps with the
+// hash-map Align, interpolate every column, first-difference the
+// accumulated counters, trim the boundary and sort the columns.
+func referenceTable(t *testing.T, store *dsos.Store, jobID int64, comp, trim int) *timeseries.Table {
+	t.Helper()
+	var tables []*timeseries.Table
+	for _, sampler := range ldms.AllSamplers {
+		if tb, err := store.QuerySampler(jobID, comp, sampler); err == nil {
+			tables = append(tables, tb)
+		}
+	}
+	if len(tables) == 0 {
+		t.Fatalf("job %d component %d has no data", jobID, comp)
+	}
+	tb := timeseries.Align(tables...)
+	for _, m := range tb.Order {
+		s := timeseries.Series{Metric: m, Values: tb.Columns[m]}
+		s.Interpolate()
+	}
+	for _, m := range ldms.AccumulatedNames() {
+		if col, ok := tb.Columns[m]; ok {
+			s := timeseries.Series{Metric: m, Values: col}
+			s.Diff()
+		}
+	}
+	tb.TrimBoundary(trim)
+	tb.SortColumns()
+	return tb
+}
+
 // referenceAnalysis is the straight-line reference of AnalyzeJob (and,
-// with a per-class model lookup, of Hetero.AnalyzeJob): unpooled query
-// and preprocessing, then referenceNode per component in order.
+// with a per-class model lookup, of Hetero.AnalyzeJob): referenceTable and
+// referenceNode per component, in order.
 func referenceAnalysis(t *testing.T, store *dsos.Store, jobID int64, trim int, model func(*timeseries.Table) *core.Prodigy) []core.NodePrediction {
 	t.Helper()
-	gen := pipeline.NewDataGenerator(store)
-	gen.TrimSeconds = trim
-	tables, err := gen.JobTables(jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []core.NodePrediction
 	for _, comp := range store.Components(jobID) {
-		if tb, ok := tables[comp]; ok {
-			out = append(out, referenceNode(model(tb), comp, tb))
-		}
+		tb := referenceTable(t, store, jobID, comp, trim)
+		out = append(out, referenceNode(model(tb), comp, tb))
 	}
 	return out
 }
@@ -196,14 +363,15 @@ func checkAgainstReference(t *testing.T, store *dsos.Store, jobs []int64, trim i
 }
 
 // TestPrunedAnalysisMatchesReference covers the solo VAE and the cascade
-// ensemble, the NaN-poisoned pooled row, and the degraded job whose
-// telemetry holds constant, all-missing and gappy columns.
+// ensemble, the NaN-poisoned pooled row, a sampler the plan reads nothing
+// of, and the wrecked and shuffled jobs: constant, all-missing, gappy,
+// late-starting and boundary-only-missing columns, and unsorted buffers
+// with duplicate timestamps.
 func TestPrunedAnalysisMatchesReference(t *testing.T) {
-	ds, store, jobs := diffCampaign(t, 61)
-	degraded := jobs[len(jobs)-1]
+	c := diffCampaign(t, 61)
 
 	vaeP := core.New(diffConfig(40))
-	if err := vaeP.Fit(ds, nil); err != nil {
+	if err := vaeP.Fit(c.ds, nil); err != nil {
 		t.Fatal(err)
 	}
 	ensP := core.New(diffConfig(40))
@@ -211,25 +379,8 @@ func TestPrunedAnalysisMatchesReference(t *testing.T) {
 		Prefilter: "naive", PassFrac: 0.3, Fusion: ensemble.FusionRank,
 		Members: []string{"vae", "lof"}, Seed: 61,
 	}
-	if err := ensP.FitEnsemble(ds, nil, eCfg, nil); err != nil {
+	if err := ensP.FitEnsemble(c.ds, nil, eCfg, nil); err != nil {
 		t.Fatal(err)
-	}
-
-	// The degraded job must actually exercise degenerate inputs: at least
-	// one selected feature has to come from a metric the degrader wrecked.
-	wrecked := map[string]bool{}
-	gen := pipeline.NewDataGenerator(store)
-	gen.TrimSeconds = 20
-	tables, err := gen.JobTables(degraded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tb := range tables {
-		for _, m := range tb.Order {
-			if mat.Variance(tb.Columns[m]) == 0 {
-				wrecked[m] = true
-			}
-		}
 	}
 
 	for _, tc := range []struct {
@@ -243,24 +394,50 @@ func TestPrunedAnalysisMatchesReference(t *testing.T) {
 			if cells, full := tc.p.PlanCells(), len(tc.p.FeatureNames()); cells <= 0 || cells > 40 {
 				t.Fatalf("plan runs %d cells for a 40-feature selection of %d", cells, full)
 			}
-			hit := false
+			// The cases must reach the plan: it reads no idle-sampler
+			// metric, and every wreck kind of at least one metric.
+			hit := map[string]bool{}
 			for _, name := range tc.p.Artifact().Selection.Names {
-				for m := range wrecked {
-					if strings.HasPrefix(name, m+"__") {
-						hit = true
-					}
+				metric, _, _ := strings.Cut(name, "__")
+				if strings.HasSuffix(metric, "::"+string(ldms.Dcgm)) {
+					t.Fatalf("the plan reads %s of the idle sampler", metric)
+				}
+				hit[c.kinds[metric]] = true
+			}
+			for _, kind := range wreckKinds {
+				if !hit[kind] {
+					t.Errorf("no selected feature reads a %s column of the wrecked job", kind)
 				}
 			}
-			if !hit {
-				t.Fatal("no selected feature reads a constant column of the degraded job")
-			}
-			checkAgainstReference(t, store, jobs, 20, func(job int64) ([]core.NodePrediction, error) {
-				return tc.p.AnalyzeJob(store, job)
+			checkAgainstReference(t, c.store, c.jobs, 20, func(job int64) ([]core.NodePrediction, error) {
+				return tc.p.AnalyzeJob(c.store, job)
 			}, solo(tc.p))
-			checkAgainstReference(t, store, jobs, 20, func(job int64) ([]core.NodePrediction, error) {
-				return tc.p.AnalyzeJobPoisoned(store, job)
+			checkAgainstReference(t, c.store, c.jobs, 20, func(job int64) ([]core.NodePrediction, error) {
+				return tc.p.AnalyzeJobPoisoned(c.store, job)
 			}, solo(tc.p))
 		})
+	}
+}
+
+// TestAnalyzeJobRejectsRenamedMetric stores a job one of whose nodes
+// reports a planned metric under another name: the node has the
+// training schema's width, so only the name check can tell, and the
+// analysis must fail naming the metric rather than score the node on
+// another metric's features.
+func TestAnalyzeJobRejectsRenamedMetric(t *testing.T) {
+	c := diffCampaign(t, 62)
+	p := core.New(diffConfig(40))
+	if err := p.Fit(c.ds, nil); err != nil {
+		t.Fatal(err)
+	}
+	metric, _, _ := strings.Cut(p.Artifact().Selection.Names[0], "__")
+	bare, sampler, _ := strings.Cut(metric, "::")
+	// The new name sorts after the old one, so every position before the
+	// metric's own keeps its name and the check trips on the metric.
+	job, _ := c.submit("lammps", nil, rename(ldms.SamplerName(sampler), bare, bare+"_renamed"))
+	_, err := p.AnalyzeJob(c.store, job)
+	if err == nil || !strings.Contains(err.Error(), strconv.Quote(metric)) {
+		t.Fatalf("AnalyzeJob of a node reporting %s renamed: err = %v, want one naming it", metric, err)
 	}
 }
 

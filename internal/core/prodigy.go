@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -103,13 +104,13 @@ type Prodigy struct {
 }
 
 // Snapshot is one deployed model: the detector together with what its
-// feature selection compiles to, published as one. AnalyzeJob extracts
-// only the (metric, extractor) cells the selection reads, and /api/score
-// decodes only the columns it reads, so the plan and the column map must
-// always describe the detector they are published with: a Fit replaces
-// all of them in one atomic store. A Snapshot is immutable; the serving
-// tier pins the one deployed when it was built and scores every shard's
-// batches with it.
+// feature selection compiles to, published as one. AnalyzeJob gathers
+// only the metrics and extracts only the (metric, extractor) cells the
+// selection reads, and /api/score decodes only the columns it reads, so
+// the plan, its read set and the column map must always describe the
+// detector they are published with: a Fit replaces all of them in one
+// atomic store. A Snapshot is immutable; the serving tier pins the one
+// deployed when it was built and scores every shard's batches with it.
 type Snapshot struct {
 	det *pipeline.AnomalyDetector
 	// cat is the catalog the plan was compiled against.
@@ -117,6 +118,11 @@ type Snapshot struct {
 	// plan is nil when the artifact's feature space does not fit cat; job
 	// analysis then fails its width check before it would need one.
 	plan *features.Plan
+	// metrics[k] is the qualified name of the metric at position
+	// plan.Metrics[k] of a node's table, and reads is their set: job
+	// analysis gathers only those columns and checks each node's names.
+	metrics []string
+	reads   dsos.ReadSet
 	// cols maps each full-width column to its position in a selected
 	// row, or -1 for a column the model does not read; nil when the
 	// selection names a column twice or one outside the feature space.
@@ -131,13 +137,33 @@ func newSnapshot(det *pipeline.AnomalyDetector, cat *features.Catalog) *Snapshot
 	per, width := cat.NumFeaturesPerSeries(), len(a.FullFeatureNames)
 	if a.Selection != nil && per > 0 && width%per == 0 {
 		if plan, err := cat.Plan(a.Selection.Indices, width/per); err == nil {
-			d.plan = plan
+			d.plan, d.metrics, d.reads = planReads(plan, a.FullFeatureNames, cat)
 		}
 	}
 	if a.Selection != nil {
 		d.cols = columnMap(a.Selection.Indices, width)
 	}
 	return d
+}
+
+// planReads names the metric at each planned position from the full
+// feature names, where metric i's block starts with "metric__<first
+// feature>" at index i·per. It returns a nil plan when the names do not
+// follow that layout, since the names the plan reads are then unknown.
+func planReads(plan *features.Plan, names []string, cat *features.Catalog) (*features.Plan, []string, dsos.ReadSet) {
+	per := cat.NumFeaturesPerSeries()
+	suffix := "__" + cat.SeriesFeatureNames()[0]
+	metrics := make([]string, len(plan.Metrics))
+	reads := make(dsos.ReadSet, len(plan.Metrics))
+	for k, mi := range plan.Metrics {
+		m, ok := strings.CutSuffix(names[mi*per], suffix)
+		if !ok {
+			return nil, nil, nil
+		}
+		metrics[k] = m
+		reads[m] = true
+	}
+	return plan, metrics, reads
 }
 
 // columnMap inverts a selection: cols[j] is the position of full column
@@ -423,7 +449,7 @@ func (p *Prodigy) analyzeJob(row *mat.Matrix, store *dsos.Store, jobID int64) ([
 	arena := timeseries.GetArena()
 	defer timeseries.PutArena(arena)
 	_, qspan := obs.StartSpan(ctx, "query")
-	tables, err := gen.JobTablesInto(arena, jobID)
+	tables, err := gen.JobTablesInto(arena, jobID, dep.reads)
 	qspan.End()
 	if err != nil {
 		return nil, err
@@ -463,7 +489,10 @@ func resizeRow(m *mat.Matrix, w int) {
 // analyzeNode extracts the planned cells of one node's preprocessed table
 // into row and scores it. Cells outside the plan keep whatever the row
 // held: the detector gathers only the selected columns, and every one of
-// those lies inside the plan.
+// those lies inside the plan. Every planned position of the table must
+// hold the gathered metric the model was trained on there: a node whose
+// schema has the same width but other names fails rather than feeding one
+// metric's features to another's weights.
 func (d *Snapshot) analyzeNode(row *mat.Matrix, ws *features.Workspace, comp int, tb *timeseries.Table) (NodePrediction, error) {
 	width := len(d.det.Artifact().FullFeatureNames)
 	if n := tb.NumMetrics() * d.cat.NumFeaturesPerSeries(); n != width {
@@ -471,6 +500,12 @@ func (d *Snapshot) analyzeNode(row *mat.Matrix, ws *features.Workspace, comp int
 	}
 	if d.plan == nil {
 		return NodePrediction{}, fmt.Errorf("component %d: the model's feature selection does not fit its %d-wide feature space", comp, width)
+	}
+	for k, mi := range d.plan.Metrics {
+		m := tb.Order[mi]
+		if _, ok := tb.Columns[m]; !ok || m != d.metrics[k] {
+			return NodePrediction{}, fmt.Errorf("component %d: metric %d is %q, model reads %q", comp, mi, m, d.metrics[k])
+		}
 	}
 	resizeRow(row, width)
 	d.cat.ExtractPlanInto(row.Data, tb, d.plan, ws)
@@ -515,7 +550,7 @@ func (p *Prodigy) JobNodeVector(store *dsos.Store, jobID int64, component int) (
 	}
 	arena := timeseries.GetArena()
 	defer timeseries.PutArena(arena)
-	tables, err := gen.JobTablesInto(arena, jobID)
+	tables, err := gen.JobTablesInto(arena, jobID, nil)
 	if err != nil {
 		return nil, err
 	}

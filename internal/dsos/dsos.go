@@ -5,9 +5,12 @@
 // per compute node, ordered by time".
 //
 // The store is an in-memory concurrent columnar index keyed by
-// (job_id, component_id, sampler): ingestion appends under a shard lock,
-// and queries assemble time-ordered tables, tolerating out-of-order
-// arrival from the aggregator's fan-in.
+// (job_id, component_id, sampler). The index maps sit under one store
+// lock that ingestion and queries take shared (exclusive only to add a
+// series); every series has its own lock, under which ingestion appends
+// and queries capture the columns they read. Queries assemble
+// time-ordered tables outside every lock, tolerating out-of-order arrival
+// from the aggregator's fan-in.
 package dsos
 
 import (
@@ -26,8 +29,16 @@ type seriesKey struct {
 	sampler   ldms.SamplerName
 }
 
-// column-oriented buffer for one (job, component, sampler).
+// buffer is the column-oriented storage of one (job, component, sampler).
+//
+// Queries read a buffer's slices outside its lock, which is safe because
+// nothing ever writes below a slice's length once a query can see it:
+// ingestion only appends (growth copies into a fresh array), and sorting
+// replaces every slice with a new one. A query therefore captures the
+// slice headers under the shared lock and reads them at leisure.
 type buffer struct {
+	mu         sync.RWMutex
+	sampler    ldms.SamplerName
 	timestamps []int64
 	columns    map[string][]float64
 	sorted     bool
@@ -39,9 +50,51 @@ type buffer struct {
 	qualified []string
 }
 
+// storeGrowMin is the least number of cells a full store column grows by.
+const storeGrowMin = 64
+
+// grow appends v to s. A full s is copied into an array an eighth larger
+// (at least storeGrowMin cells) rather than append's doubling: the store
+// holds every job's telemetry for the life of the process, so doubling
+// would leave up to half of it as slack capacity that the collector counts
+// as live heap.
+func grow[T int64 | float64](s []T, v T) []T {
+	if len(s) == cap(s) {
+		g := make([]T, len(s), len(s)+max(len(s)/8, storeGrowMin))
+		copy(g, s)
+		s = g
+	}
+	return append(s, v)
+}
+
+// appendLocked adds one row, keeping every column as long as the
+// timestamp axis; caller holds mu exclusively.
+func (b *buffer) appendLocked(r ldms.Row) {
+	if n := len(b.timestamps); n > 0 && r.Timestamp < b.timestamps[n-1] {
+		b.sorted = false
+	}
+	b.timestamps = grow(b.timestamps, r.Timestamp)
+	n := len(b.timestamps)
+	for m, v := range r.Values {
+		col := b.columns[m]
+		// Backfill a column first seen mid-stream with missing markers so
+		// all columns stay aligned with the timestamp axis.
+		for len(col) < n-1 {
+			col = grow(col, timeseries.Missing)
+		}
+		b.columns[m] = grow(col, v)
+	}
+	// Pad columns absent from this row.
+	for m, col := range b.columns {
+		if len(col) < n {
+			b.columns[m] = grow(col, timeseries.Missing)
+		}
+	}
+}
+
 // ensureNamesLocked (re)builds the sorted metric and qualified-name caches;
-// caller holds mu.
-func (b *buffer) ensureNamesLocked(sampler ldms.SamplerName) {
+// caller holds mu exclusively.
+func (b *buffer) ensureNamesLocked() {
 	if len(b.names) == len(b.columns) {
 		return
 	}
@@ -52,12 +105,75 @@ func (b *buffer) ensureNamesLocked(sampler ldms.SamplerName) {
 	sort.Strings(b.names)
 	b.qualified = b.qualified[:0]
 	for _, m := range b.names {
-		b.qualified = append(b.qualified, m+"::"+string(sampler))
+		b.qualified = append(b.qualified, m+"::"+string(b.sampler))
 	}
+}
+
+// sortLocked re-orders a buffer by timestamp into fresh slices; caller
+// holds mu exclusively.
+func (b *buffer) sortLocked() {
+	idx := make([]int, len(b.timestamps))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, j int) bool { return b.timestamps[idx[i]] < b.timestamps[idx[j]] })
+	newTS := make([]int64, len(idx))
+	for i, p := range idx {
+		newTS[i] = b.timestamps[p]
+	}
+	b.timestamps = newTS
+	for m, col := range b.columns {
+		newCol := make([]float64, len(idx))
+		for i, p := range idx {
+			newCol[i] = col[p]
+		}
+		b.columns[m] = newCol
+	}
+	b.sorted = true
+}
+
+// ReadSet names the qualified metrics ("metric::sampler") a pruned query
+// gathers; a nil ReadSet gathers every metric. Build one per deployed
+// model, not per query.
+type ReadSet map[string]bool
+
+// viewInto wraps the buffer's timestamp axis and the columns reads names
+// in an arena table shell, sharing the buffer's storage, and lists every
+// other metric in the shell's Order without a column. It holds the shared
+// lock, or the exclusive one when the buffer must first be sorted or
+// re-indexed. The view must only be read.
+func (b *buffer) viewInto(a *timeseries.Arena, reads ReadSet) *timeseries.Table {
+	b.mu.RLock()
+	if b.sorted && len(b.names) == len(b.columns) {
+		defer b.mu.RUnlock()
+		return b.viewLocked(a, reads)
+	}
+	b.mu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.sorted {
+		b.sortLocked()
+	}
+	b.ensureNamesLocked()
+	return b.viewLocked(a, reads)
+}
+
+// viewLocked builds viewInto's table; caller holds mu.
+func (b *buffer) viewLocked(a *timeseries.Arena, reads ReadSet) *timeseries.Table {
+	t := a.NewTable(b.timestamps)
+	for i, q := range b.qualified {
+		if reads == nil || reads[q] {
+			t.AddColumn(q, b.columns[b.names[i]])
+		} else {
+			t.Order = append(t.Order, q)
+		}
+	}
+	return t
 }
 
 // Store is a concurrent telemetry store.
 type Store struct {
+	// mu guards the two index maps only; each buffer has its own lock.
 	mu   sync.RWMutex
 	data map[seriesKey]*buffer
 	jobs map[int64]map[int]bool // job -> set of components
@@ -72,41 +188,42 @@ func NewStore() *Store {
 }
 
 // Ingest implements ldms.Sink. Rows may arrive in any order; queries sort
-// on demand.
+// on demand. Rows for different series go in concurrently.
 func (s *Store) Ingest(r ldms.Row) {
 	key := seriesKey{job: r.JobID, component: r.Component, sampler: r.Sampler}
+	s.mu.RLock()
+	b := s.data[key]
+	s.mu.RUnlock()
+	if b == nil {
+		if b = s.publish(key, r); b == nil {
+			return // r is the new series' first row
+		}
+	}
+	b.mu.Lock()
+	b.appendLocked(r)
+	b.mu.Unlock()
+}
+
+// publish adds the series of key with r as its first row and returns nil,
+// or returns the series' buffer if another writer published it first. A
+// series is never visible without a row, so every listed component has
+// data.
+func (s *Store) publish(key seriesKey, r ldms.Row) *buffer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.data[key]
-	if !ok {
-		b = &buffer{columns: make(map[string][]float64), sorted: true}
-		s.data[key] = b
+	if b := s.data[key]; b != nil {
+		return b
 	}
-	if n := len(b.timestamps); n > 0 && r.Timestamp < b.timestamps[n-1] {
-		b.sorted = false
-	}
-	b.timestamps = append(b.timestamps, r.Timestamp)
-	for m, v := range r.Values {
-		col := b.columns[m]
-		// Backfill a column first seen mid-stream with missing markers so
-		// all columns stay aligned with the timestamp axis.
-		for len(col) < len(b.timestamps)-1 {
-			col = append(col, timeseries.Missing)
-		}
-		b.columns[m] = append(col, v)
-	}
-	// Pad columns absent from this row.
-	for m, col := range b.columns {
-		if len(col) < len(b.timestamps) {
-			b.columns[m] = append(col, timeseries.Missing)
-		}
-	}
-	comps, ok := s.jobs[r.JobID]
+	b := &buffer{sampler: key.sampler, columns: make(map[string][]float64), sorted: true}
+	b.appendLocked(r) // not yet shared
+	s.data[key] = b
+	comps, ok := s.jobs[key.job]
 	if !ok {
 		comps = make(map[int]bool)
-		s.jobs[r.JobID] = comps
+		s.jobs[key.job] = comps
 	}
-	comps[r.Component] = true
+	comps[key.component] = true
+	return nil
 }
 
 // Jobs returns all stored job IDs, sorted.
@@ -141,14 +258,30 @@ func (s *Store) NumRows() int {
 	defer s.mu.RUnlock()
 	total := 0
 	for _, b := range s.data {
+		b.mu.RLock()
 		total += len(b.timestamps)
+		b.mu.RUnlock()
 	}
 	return total
 }
 
+// buffers appends to dst the buffers of one (job, component), in
+// ldms.AllSamplers order, skipping samplers it has no data for.
+func (s *Store) buffers(dst []*buffer, job int64, component int) []*buffer {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, sampler := range ldms.AllSamplers {
+		if b := s.data[seriesKey{job: job, component: component, sampler: sampler}]; b != nil {
+			dst = append(dst, b)
+		}
+	}
+	return dst
+}
+
 // QuerySampler returns the time-ordered table of one sampler's metrics for
 // one (job, component), with metric names qualified as "metric::sampler".
-// Missing seconds appear as gaps in the timestamp axis (dropped readings).
+// Missing seconds appear as gaps in the timestamp axis (dropped readings);
+// rows sharing a timestamp are all kept, in arrival order.
 func (s *Store) QuerySampler(job int64, component int, sampler ldms.SamplerName) (*timeseries.Table, error) {
 	return s.QuerySamplerInto(nil, job, component, sampler)
 }
@@ -157,133 +290,58 @@ func (s *Store) QuerySampler(job int64, component int, sampler ldms.SamplerName)
 // columns and table shell carved out of the arena (nil falls back to plain
 // allocation). The returned table is valid until the arena is reset.
 func (s *Store) QuerySamplerInto(a *timeseries.Arena, job int64, component int, sampler ldms.SamplerName) (*timeseries.Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.bufferLocked(job, component, sampler)
-	if !ok {
+	s.mu.RLock()
+	b := s.data[seriesKey{job: job, component: component, sampler: sampler}]
+	s.mu.RUnlock()
+	if b == nil {
 		return nil, fmt.Errorf("dsos: no %s data for job %d component %d", sampler, job, component)
 	}
-	return b.copyInto(a), nil
-}
-
-// bufferLocked returns the sorted, name-indexed buffer of one (job,
-// component, sampler); caller holds mu.
-func (s *Store) bufferLocked(job int64, component int, sampler ldms.SamplerName) (*buffer, bool) {
-	b, ok := s.data[seriesKey{job: job, component: component, sampler: sampler}]
-	if !ok {
-		return nil, false
-	}
-	if !b.sorted {
-		b.sortLocked()
-	}
-	b.ensureNamesLocked(sampler)
-	return b, true
-}
-
-// copyInto copies the buffer into an arena table, padding any column
-// shorter than the timestamp axis with missing markers; caller holds mu.
-func (b *buffer) copyInto(a *timeseries.Arena) *timeseries.Table {
-	ts := a.Ints(len(b.timestamps))
-	copy(ts, b.timestamps)
+	v := b.viewInto(a, nil)
+	ts := a.Ints(len(v.Timestamps))
+	copy(ts, v.Timestamps)
 	out := a.NewTable(ts)
-	for i, m := range b.names {
-		src := b.columns[m]
+	for _, m := range v.Order {
 		col := a.Floats(len(ts))
-		copy(col, src)
-		for j := len(src); j < len(ts); j++ {
-			col[j] = timeseries.Missing
-		}
-		out.AddColumn(b.qualified[i], col)
+		copy(col, v.Columns[m])
+		out.AddColumn(m, col)
 	}
-	return out
-}
-
-// viewInto wraps the buffer's own storage in an arena table shell without
-// copying, for an alignment that reads it before mu is released. Ingest
-// pads every column to the timestamp axis, which AddColumn checks. Caller
-// holds mu.
-func (b *buffer) viewInto(a *timeseries.Arena) *timeseries.Table {
-	out := a.NewTable(b.timestamps)
-	for i, m := range b.names {
-		out.AddColumn(b.qualified[i], b.columns[m])
-	}
-	return out
-}
-
-// sortLocked re-orders a buffer by timestamp; caller holds mu.
-func (b *buffer) sortLocked() {
-	idx := make([]int, len(b.timestamps))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return b.timestamps[idx[i]] < b.timestamps[idx[j]] })
-	newTS := make([]int64, len(idx))
-	for i, p := range idx {
-		newTS[i] = b.timestamps[p]
-	}
-	b.timestamps = newTS
-	for m, col := range b.columns {
-		newCol := make([]float64, len(idx))
-		for i, p := range idx {
-			if p < len(col) {
-				newCol[i] = col[p]
-			} else {
-				newCol[i] = timeseries.Missing
-			}
-		}
-		b.columns[m] = newCol
-	}
-	b.sorted = true
+	return out, nil
 }
 
 // QueryJobInto returns, for each component of the job, the aligned table of
-// all three samplers' metrics (the DataGenerator input, §4.2.1).
-// Components with no data for some sampler get only the samplers they
-// have. The aligned output and every column in it come from the arena a
-// (nil allocates them fresh), so a pooled caller assembles a job's
-// tables with only the per-call result map allocated. Alignment uses the
-// sorted-merge AlignSortedInto and reads the store's buffers in place
-// under the lock (buffers are sorted on demand), so each value is copied
-// once, straight into its aligned column, and the arena holds only the
-// result.
+// all its samplers' metrics (the DataGenerator input, §4.2.1): a
+// QueryJobPrunedInto that gathers every metric.
 func (s *Store) QueryJobInto(a *timeseries.Arena, job int64) (map[int]*timeseries.Table, error) {
+	return s.QueryJobPrunedInto(a, job, nil)
+}
+
+// QueryJobPrunedInto returns, for each component of the job, its samplers'
+// tables aligned on their common timestamps (timeseries.AlignSortedInto),
+// gathering only the columns reads names. Every metric still appears in
+// the table's Order, so positions in Order do not depend on reads, and a
+// sampler none of whose metrics is read still bounds the common time
+// axis. Components with no data for some sampler get only the samplers
+// they have.
+//
+// Each buffer's slices are captured under its own lock and aligned
+// outside every lock, so queries run in parallel with each other and with
+// ingestion. Every value is copied once, straight into its aligned column,
+// and the output comes from the arena a (nil allocates it fresh): a pooled
+// caller assembles a job's tables with only the result map allocated.
+func (s *Store) QueryJobPrunedInto(a *timeseries.Arena, job int64, reads ReadSet) (map[int]*timeseries.Table, error) {
 	comps := s.Components(job)
 	if len(comps) == 0 {
 		return nil, fmt.Errorf("dsos: unknown job %d", job)
 	}
 	out := make(map[int]*timeseries.Table, len(comps))
 	var bufArr [4]*buffer // one slot per sampler of ldms.AllSamplers, on the stack
-	bufs := bufArr[:0]
-	tables := make([]*timeseries.Table, 0, len(ldms.AllSamplers))
+	views := make([]*timeseries.Table, 0, len(ldms.AllSamplers))
 	for _, c := range comps {
-		bufs = bufs[:0]
-		s.mu.Lock()
-		for _, sampler := range ldms.AllSamplers {
-			if b, ok := s.bufferLocked(job, c, sampler); ok {
-				bufs = append(bufs, b)
-			}
+		views = views[:0]
+		for _, b := range s.buffers(bufArr[:0], job, c) {
+			views = append(views, b.viewInto(a, reads))
 		}
-		tb := alignInto(a, bufs, tables[:0])
-		s.mu.Unlock()
-		if tb != nil {
-			out[c] = tb
-		}
+		out[c] = timeseries.AlignSortedInto(a, views...)
 	}
 	return out, nil
-}
-
-// alignInto aligns one component's buffers into an arena table, reading
-// them in place; caller holds mu. A lone buffer is its own alignment and
-// is copied, so the result never aliases the store. tables is scratch.
-func alignInto(a *timeseries.Arena, bufs []*buffer, tables []*timeseries.Table) *timeseries.Table {
-	switch len(bufs) {
-	case 0:
-		return nil
-	case 1:
-		return bufs[0].copyInto(a)
-	}
-	for _, b := range bufs {
-		tables = append(tables, b.viewInto(a))
-	}
-	return timeseries.AlignSortedInto(a, tables...)
 }

@@ -1,9 +1,11 @@
 package dsos
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"prodigy/internal/cluster"
 	"prodigy/internal/ldms"
@@ -301,4 +303,199 @@ func TestQueryJobIntoDuringIngest(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// sameTable reports whether two tables are bit-identical: the same axis,
+// the same Order and, for every gathered column, the same bits.
+func sameTable(a, b *timeseries.Table) bool {
+	if len(a.Timestamps) != len(b.Timestamps) || len(a.Order) != len(b.Order) || len(a.Columns) != len(b.Columns) {
+		return false
+	}
+	for i := range a.Timestamps {
+		if a.Timestamps[i] != b.Timestamps[i] {
+			return false
+		}
+	}
+	for i, m := range a.Order {
+		if b.Order[i] != m {
+			return false
+		}
+		ca, okA := a.Columns[m]
+		cb, okB := b.Columns[m]
+		if okA != okB || len(ca) != len(cb) {
+			return false
+		}
+		for j := range ca {
+			if math.Float64bits(ca[j]) != math.Float64bits(cb[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// finishedRows is the telemetry of a finished job: three samplers of four
+// nodes, every seventh row held back and delivered after its successor,
+// every thirteenth delivered twice, a column first reported mid-stream,
+// and dropped readings.
+func finishedRows(job int64) []ldms.Row {
+	rng := rand.New(rand.NewSource(job))
+	var rows []ldms.Row
+	for comp := 0; comp < 4; comp++ {
+		for _, sampler := range []ldms.SamplerName{ldms.Meminfo, ldms.Vmstat, ldms.Procstat} {
+			var held *ldms.Row
+			for ts := int64(0); ts < 120; ts++ {
+				if rng.Intn(9) == 0 {
+					continue // dropped reading
+				}
+				vals := map[string]float64{"a": rng.Float64(), "b": float64(ts)}
+				if ts >= 40 {
+					vals["late"] = rng.Float64()
+				}
+				r := row(job, comp, ts, sampler, vals)
+				switch {
+				case held == nil && ts%7 == 0:
+					held = &r
+					continue
+				case ts%13 == 0:
+					rows = append(rows, r)
+				}
+				rows = append(rows, r)
+				if held != nil {
+					rows = append(rows, *held)
+					held = nil
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// TestQueriesDuringIngestMatchSerial runs readers of finished and live
+// jobs against a writer feeding a live job out of order, with a column
+// that appears mid-stream. The finished jobs' buffers start unsorted, so
+// the first readers to reach them race to sort them under the exclusive
+// lock. Every answer for a finished job, full or pruned, must equal a
+// serial query of an identical store bit for bit, and every live answer
+// must be well formed. Run under -race it pins the per-buffer locking.
+func TestQueriesDuringIngestMatchSerial(t *testing.T) {
+	finished := []int64{1, 2, 3}
+	const live = 99
+	reads := ReadSet{"a::meminfo": true, "late::vmstat": true}
+	s, serial := NewStore(), NewStore()
+	for _, job := range finished {
+		for _, r := range finishedRows(job) {
+			s.Ingest(r)
+			serial.Ingest(r)
+		}
+	}
+	want := map[int64][2]map[int]*timeseries.Table{}
+	for _, job := range finished {
+		full, err := serial.QueryJobInto(nil, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned, err := serial.QueryJobPrunedInto(nil, job, reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[job] = [2]map[int]*timeseries.Table{full, pruned}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ts := int64(0); ts < 300; ts++ {
+			at := ts
+			if ts%5 == 4 {
+				at = ts - 3 // out of order
+			}
+			for comp := 0; comp < 2; comp++ {
+				vals := map[string]float64{"a": float64(at)}
+				if ts >= 150 {
+					vals["new"] = float64(at) // a column first seen mid-stream
+				}
+				s.Ingest(row(live, comp, at, ldms.Meminfo, vals))
+				s.Ingest(row(live, comp, at, ldms.Vmstat, map[string]float64{"late": 1}))
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			arena := &timeseries.Arena{}
+			for i := 0; i < 40; i++ {
+				arena.Reset()
+				job := finished[(r+i)%len(finished)]
+				got, err := s.QueryJobPrunedInto(arena, job, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				gotPruned, err := s.QueryJobPrunedInto(arena, job, reads)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for comp, tb := range want[job][0] {
+					if !sameTable(got[comp], tb) || !sameTable(gotPruned[comp], want[job][1][comp]) {
+						t.Errorf("reader %d: job %d component %d differs from the serial query", r, job, comp)
+						return
+					}
+				}
+				tables, err := s.QueryJobInto(arena, live)
+				if err != nil {
+					continue // the writer has not reached the live job yet
+				}
+				for comp, tb := range tables {
+					for _, m := range tb.Order {
+						if len(tb.Columns[m]) != tb.Len() {
+							t.Errorf("reader %d: live component %d column %s has %d rows for %d timestamps", r, comp, m, len(tb.Columns[m]), tb.Len())
+							return
+						}
+					}
+					for k := 1; k < tb.Len(); k++ {
+						if tb.Timestamps[k] <= tb.Timestamps[k-1] {
+							t.Errorf("reader %d: live component %d axis not increasing at %d", r, comp, k)
+							return
+						}
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+}
+
+// TestIngestPassesAHeldBuffer holds one series' buffer lock exclusively,
+// as a query re-sorting it does, and requires ingestion into other jobs —
+// an existing series and a new one — and a query of another job to
+// finish meanwhile. Under one store-wide lock all three would wait.
+func TestIngestPassesAHeldBuffer(t *testing.T) {
+	s := NewStore()
+	s.Ingest(row(1, 0, 0, ldms.Meminfo, map[string]float64{"a": 1}))
+	s.Ingest(row(2, 0, 0, ldms.Meminfo, map[string]float64{"a": 1}))
+	s.mu.RLock()
+	held := s.data[seriesKey{job: 1, component: 0, sampler: ldms.Meminfo}]
+	s.mu.RUnlock()
+	held.mu.Lock()
+	defer held.mu.Unlock()
+
+	done := make(chan error, 1)
+	go func() {
+		s.Ingest(row(2, 0, 1, ldms.Meminfo, map[string]float64{"a": 2}))
+		s.Ingest(row(3, 0, 0, ldms.Vmstat, map[string]float64{"b": 1}))
+		_, err := s.QueryJobInto(nil, 2)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ingest into other jobs waited on a held buffer lock")
+	}
 }

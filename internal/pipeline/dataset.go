@@ -107,16 +107,19 @@ func NewDataGenerator(store *dsos.Store) *DataGenerator {
 // JobTables returns the preprocessed per-component telemetry tables of a
 // job, ready for feature extraction.
 func (g *DataGenerator) JobTables(jobID int64) (map[int]*timeseries.Table, error) {
-	return g.JobTablesInto(nil, jobID)
+	return g.JobTablesInto(nil, jobID, nil)
 }
 
 // JobTablesInto is JobTables with table storage carved out of the arena
-// (nil falls back to plain allocation): the per-request serving path pools
-// arenas so steady-state job assembly stops allocating per column. The
-// preprocessing steps (interpolation, differencing, trimming, column sort)
-// all run in place, so only the query/align stage touches the arena.
-func (g *DataGenerator) JobTablesInto(a *timeseries.Arena, jobID int64) (map[int]*timeseries.Table, error) {
-	raw, err := g.Store.QueryJobInto(a, jobID)
+// (nil falls back to plain allocation) and only the metrics reads names
+// gathered (nil gathers all; see dsos.Store.QueryJobPrunedInto): the
+// per-request serving path pools arenas and reads what its model reads.
+// The preprocessing steps (interpolation, differencing, trimming, column
+// sort) all run in place, so only the query/align stage touches the
+// arena, and interpolation visits only the columns the gather found gaps
+// in.
+func (g *DataGenerator) JobTablesInto(a *timeseries.Arena, jobID int64, reads dsos.ReadSet) (map[int]*timeseries.Table, error) {
+	raw, err := g.Store.QueryJobPrunedInto(a, jobID, reads)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +246,7 @@ func (b *DatasetBuilder) collectTasks() ([]task, []*timeseries.Arena, error) {
 			defer wg.Done()
 			for i := range jobs {
 				spec := specs[i]
-				tables, err := b.Gen.JobTablesInto(arena, spec.jobID)
+				tables, err := b.Gen.JobTablesInto(arena, spec.jobID, nil)
 				if err != nil {
 					errs[i] = fmt.Errorf("pipeline: job %d: %w", spec.jobID, err)
 					continue

@@ -108,6 +108,8 @@ func (a *Arena) NewTable(timestamps []int64) *Table {
 		t.Timestamps = timestamps
 		clear(t.Columns)
 		t.Order = t.Order[:0]
+		t.gappy = t.gappy[:0]
+		t.scanned = false
 		return t
 	}
 	t := NewTable(timestamps)
@@ -154,16 +156,16 @@ func PutArena(a *Arena) {
 // sorted ascending (the dsos query path sorts buffers on demand): a k-way
 // sorted merge replaces Align's hash-map bookkeeping, and the output
 // timestamp axis, columns and shell come from the arena. Duplicate
-// timestamps within a table collapse to the last row, matching Align. A
-// nil arena falls back to plain allocation.
+// timestamps within a table collapse to the last row, matching Align; a
+// single table is gathered the same way, so the output never aliases an
+// input. Names an input lists in Order without a column (a pruned
+// gather) pass through to the output's Order, still without one. The
+// gather records which output columns hold a Missing value, so
+// InterpolateAll visits only those. A nil arena falls back to plain
+// allocation.
 func AlignSortedInto(a *Arena, tables ...*Table) *Table {
 	if len(tables) == 0 {
 		return a.NewTable(nil)
-	}
-	if len(tables) == 1 {
-		// Single sampler: nothing to intersect. The input is already
-		// arena-owned (or caller-owned) with the same lifetime.
-		return tables[0]
 	}
 	// Pass 1: intersect the sorted axes. pos records, per (table, common
 	// timestamp), the source row to gather from — for duplicates the last
@@ -222,13 +224,26 @@ scan:
 	out := a.NewTable(common)
 	for j, tb := range tables {
 		for _, m := range tb.Order {
-			src := tb.Columns[m]
+			src, ok := tb.Columns[m]
+			if !ok {
+				out.Order = append(out.Order, m)
+				continue
+			}
 			col := a.Floats(n)
+			gap := false
 			for i := 0; i < n; i++ {
-				col[i] = src[pos[i*len(tables)+j]]
+				v := src[pos[i*len(tables)+j]]
+				if IsMissing(v) {
+					gap = true
+				}
+				col[i] = v
 			}
 			out.AddColumn(m, col)
+			if gap {
+				out.gappy = append(out.gappy, m)
+			}
 		}
 	}
+	out.scanned = true
 	return out
 }

@@ -2,13 +2,15 @@ package timeseries
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // randSortedTable builds a table with a sorted timestamp axis where each
 // step has a 50% chance of duplicating the previous timestamp — the
-// densest duplicate mix the dsos buffers can produce.
+// densest duplicate mix the dsos buffers can produce — and a quarter of
+// the values are Missing.
 func randSortedTable(rng *rand.Rand, name string) *Table {
 	n := rng.Intn(8)
 	ts := make([]int64, n)
@@ -21,6 +23,9 @@ func randSortedTable(rng *rand.Rand, name string) *Table {
 	col := make([]float64, n)
 	for i := range col {
 		col[i] = float64(i)
+		if rng.Intn(4) == 0 {
+			col[i] = Missing
+		}
 	}
 	tb.AddColumn(name, col)
 	return tb
@@ -28,7 +33,9 @@ func randSortedTable(rng *rand.Rand, name string) *Table {
 
 // TestAlignSortedIntoMatchesAlign differential-tests the k-way merge
 // against the hash-map reference over random small sorted inputs,
-// including empty tables and heavy duplicate runs. Regression for two
+// including a single table, empty tables and heavy duplicate runs, then
+// checks that interpolating only the columns the merge recorded as gappy
+// fills the same cells as interpolating every column. Regression for two
 // out-of-bounds scans: an empty input table zeroes the intersection
 // capacity but the scan wrote position entries before discovering the
 // exhaustion, and a duplicate-free shortest table could be fully
@@ -36,7 +43,7 @@ func randSortedTable(rng *rand.Rand, name string) *Table {
 func TestAlignSortedIntoMatchesAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 20000; iter++ {
-		tables := make([]*Table, 2+rng.Intn(3))
+		tables := make([]*Table, 1+rng.Intn(4))
 		for j := range tables {
 			tables[j] = randSortedTable(rng, fmt.Sprintf("m%d", j))
 		}
@@ -51,14 +58,21 @@ func TestAlignSortedIntoMatchesAlign(t *testing.T) {
 				t.Fatalf("iter %d: timestamp %d differs (axes %v)", iter, i, axes(tables))
 			}
 		}
-		for _, m := range want.Order {
-			for i := range want.Timestamps {
-				if got.Columns[m][i] != want.Columns[m][i] {
-					t.Fatalf("iter %d: column %s row %d = %v, want %v (axes %v)",
-						iter, m, i, got.Columns[m][i], want.Columns[m][i], axes(tables))
+		sameColumns := func(stage string) {
+			for _, m := range want.Order {
+				for i := range want.Timestamps {
+					if math.Float64bits(got.Columns[m][i]) != math.Float64bits(want.Columns[m][i]) {
+						t.Fatalf("iter %d %s: column %s row %d = %v, want %v (axes %v)",
+							iter, stage, m, i, got.Columns[m][i], want.Columns[m][i], axes(tables))
+					}
 				}
 			}
 		}
+		sameColumns("aligned")
+		if g, w := got.InterpolateAll(), want.InterpolateAll(); g != w {
+			t.Fatalf("iter %d: interpolation filled %d cells, want %d", iter, g, w)
+		}
+		sameColumns("interpolated")
 	}
 }
 

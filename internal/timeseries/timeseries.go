@@ -98,8 +98,18 @@ type Table struct {
 	// Columns maps metric name to its values, each len(Timestamps) long.
 	Columns map[string][]float64
 	// Order lists metric names in a canonical order for deterministic
-	// iteration. Len(Order) == len(Columns).
+	// iteration. Every column is named in Order; a pruned table (one a
+	// query gathered only some metrics of) also names the metrics it did
+	// not gather, so positions in Order are the same as in the full
+	// table and len(Columns) <= len(Order). Column returns nil for a
+	// name that was not gathered.
 	Order []string
+	// gappy lists the columns holding a Missing value when scanned says
+	// the gather that built the table recorded them, so InterpolateAll
+	// can skip every other column. AddColumn and DiffColumns clear
+	// scanned: a column the gather did not see may hold anything.
+	gappy   []string
+	scanned bool
 }
 
 // NewTable creates an empty table with the given timestamp axis.
@@ -124,6 +134,7 @@ func (t *Table) AddColumn(metric string, values []float64) {
 	}
 	t.Columns[metric] = values
 	t.Order = append(t.Order, metric)
+	t.scanned = false
 }
 
 // Column returns the values for metric, or nil if absent.
@@ -151,10 +162,16 @@ func (t *Table) TrimBoundary(seconds int) {
 }
 
 // InterpolateAll linearly interpolates missing values in every column and
-// returns the total number of filled cells.
+// returns the total number of filled cells. On a table whose gather
+// recorded its gappy columns (AlignSortedInto) it visits only those:
+// Interpolate leaves a column without a Missing value unchanged.
 func (t *Table) InterpolateAll() int {
+	names := t.Order
+	if t.scanned {
+		names = t.gappy
+	}
 	total := 0
-	for _, m := range t.Order {
+	for _, m := range names {
 		s := Series{Metric: m, Values: t.Columns[m]}
 		total += s.Interpolate()
 	}
@@ -164,6 +181,7 @@ func (t *Table) InterpolateAll() int {
 // DiffColumns first-differences the named columns in place. Unknown names
 // are ignored so callers can pass a static accumulated-counter list.
 func (t *Table) DiffColumns(metrics []string) {
+	t.scanned = false // a difference of infinities is Missing
 	for _, m := range metrics {
 		if v, ok := t.Columns[m]; ok {
 			s := Series{Metric: m, Values: v}
